@@ -12,10 +12,10 @@
 //	lbsim -policy guided -faults storm
 //	lbsim -exp policies -scale quick -format csv
 //	lbsim -exp fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	lbsim -exp fig8 -enginestats -enginejson BENCH_engine.json
+//	lbsim -exp fig8 -enginestats -enginejson engine.json
 //	lbsim -exp fig8 -engine goroutine   (legacy closure paths, for A/B)
 //	lbsim -exp fig8 -engine parallel -simworkers 4
-//	lbsim -all -scale quick -simjson BENCH_sim.json
+//	lbsim -all -scale quick -simjson sim.json
 //	lbsim -exp fig9 -scale quick -trace fig9.json -metricsjson fig9_metrics.json
 //	lbsim -exp fig8 -pop                  (POP efficiency: PE = LB x CommE)
 //	lbsim -exp efficiency -popjson pop.json
@@ -40,6 +40,7 @@ import (
 	"ompsscluster/internal/expander"
 	"ompsscluster/internal/experiments"
 	"ompsscluster/internal/faults"
+	"ompsscluster/internal/nbody"
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simtime"
 )
@@ -185,11 +186,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *simWorkers < 0 {
 		return fail(fmt.Errorf("-simworkers must be >= 0 (0 = GOMAXPROCS), got %d", *simWorkers))
 	}
-	// One graph store and one engine-stats collector for the whole
-	// invocation: sweeps (and with -all, experiments) that reuse a layout
-	// generate its helper graph once, and engine throughput aggregates
-	// across every run.
+	// One graph store, one trajectory store and one engine-stats
+	// collector for the whole invocation: sweeps (and with -all,
+	// experiments) that reuse a layout generate its helper graph once,
+	// n-body runs with the same physics integrate it once, and engine
+	// throughput aggregates across every run.
 	sc.Graphs = expander.NewStore("")
+	sc.Trajectories = nbody.NewStore()
 	sc.Engine = simtime.NewStatsCollector()
 	if *popAccount {
 		sc.POP = true
@@ -351,8 +354,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // engineReport accumulates the per-experiment engine numbers destined for
-// the -enginejson file (bench/record.sh writes it as BENCH_engine.json so
-// the perf trajectory is tracked across PRs).
+// the -enginejson file (lbbench reads its run-host seconds and counters).
 type engineReport struct {
 	Scale       string             `json:"scale"`
 	Parallel    int                `json:"parallel"`
@@ -457,9 +459,8 @@ func (er *engineReport) write(path string, total simtime.RunTotals, parts []simt
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// writeSim writes the per-experiment wall-clock summary (bench/record.sh
-// writes it as BENCH_sim.json so per-figure simulator wall time is
-// tracked across PRs alongside the engine counters).
+// writeSim writes the per-experiment wall-clock summary: per-figure
+// simulator wall time alongside the engine counters.
 func (er *engineReport) writeSim(path string) error {
 	type simFigure struct {
 		ID            string  `json:"id"`

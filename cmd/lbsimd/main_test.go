@@ -151,8 +151,11 @@ func (s *server) waitSucceeded(t *testing.T, id string, timeout time.Duration) [
 }
 
 // crashSpec is the job the kill tests run: fig6c at quick scale with a
-// sequential sweep, ~0.4s per spec across 11 specs — slow enough that
-// a SIGKILL reliably lands mid-sweep, fast enough for CI.
+// sequential sweep of 11 specs, ~1.5-3s in all on a 2-core x86-64 host.
+// Only the first spec of each node count integrates the n-body physics,
+// and the 8-node specs come last and take most of the time, so when
+// specs_done reaches 2 over 90% of the sweep remains — a SIGKILL
+// reliably lands mid-sweep, and the sweep stays fast enough for CI.
 const crashSpec = `{"experiment":"fig6c","scale":"quick","parallel":1}`
 
 func TestCrashResumeByteIdentical(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"ompsscluster/internal/expander"
+	"ompsscluster/internal/nbody"
 	"ompsscluster/internal/simtime"
 	"ompsscluster/internal/sweep"
 )
@@ -257,6 +258,10 @@ type Scale struct {
 	// configurations with the same layout generate their helper graph
 	// once. Safe for concurrent use.
 	Graphs *expander.Store
+	// Trajectories, when non-nil, is shared the same way by the n-body
+	// runs: runs with the same physics integrate it once. Safe for
+	// concurrent use; nil gives every run a private trajectory.
+	Trajectories *nbody.Store
 	// Engine, when non-nil, collects event-engine counters and host
 	// time from every simulator run (safe for concurrent use). ByID
 	// creates one per call when unset and summarises it on the Result.

@@ -4,10 +4,21 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ompsscluster/internal/nbody"
 )
 
+// trajectories is shared by every quick-scale test run, as lbsim shares
+// one store per invocation; TestSharedGraphStoreAcrossRuns checks shared
+// trajectories against private ones.
+var trajectories = nbody.NewStore()
+
 // qs is the shared quick scale for tests.
-func qs() Scale { return QuickScale() }
+func qs() Scale {
+	sc := QuickScale()
+	sc.Trajectories = trajectories
+	return sc
+}
 
 // y returns the series value at x, or -1 when the point is missing (the
 // tests' sentinel for a hole; measured values in these figures are

@@ -52,12 +52,13 @@ func nbodyRun(sc Scale, nodes, degree int, lewi bool, drom core.DROMMode, slow, 
 		Bodies:             192 * appranks,
 		Steps:              sc.Iterations + 3,
 		ChunksPerRank:      8 * sc.CoresPerNode / rpn,
-		CostPerInteraction: costPerInteraction(sc, appranks),
+		CostPerInteraction: costPerInteraction(sc),
 		TreeCostPerBody:    20 * simtime.Nanosecond,
 		Theta:              0.5,
 		DT:                 0.02,
 		TimeWeights:        timeWeights,
 		Seed:               sc.Seed,
+		Trajectories:       sc.Trajectories,
 	})
 	rt := core.MustNew(core.Config{
 		Machine:         m,
@@ -88,7 +89,7 @@ func nbodyRun(sc Scale, nodes, degree int, lewi bool, drom core.DROMMode, slow, 
 // DROM to act within a step, short enough that the busy-measurement
 // horizon (EMA over GlobalPeriod windows) spans a whole step — otherwise
 // the saturated early-step phase hides the true demand from the solver.
-func costPerInteraction(sc Scale, appranks int) simtime.Duration {
+func costPerInteraction(sc Scale) simtime.Duration {
 	// ~192 bodies per rank at theta 0.5 perform roughly 300-400
 	// interactions per body and step.
 	d := sc.MeanTask / 1600

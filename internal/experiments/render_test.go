@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ompsscluster/internal/expander"
+	"ompsscluster/internal/nbody"
 )
 
 // renderFixture exercises every awkward rendering case at once: negative
@@ -115,8 +116,10 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestSharedGraphStoreAcrossRuns runs a figure with a shared store and
-// checks the result is unchanged (cached graphs are the same graphs).
+// TestSharedGraphStoreAcrossRuns runs figures with shared stores and
+// checks the results are unchanged: cached graphs are the same graphs,
+// and a shared n-body trajectory is the physics every run would
+// integrate privately, whichever run (or concurrent runs) fills it.
 func TestSharedGraphStoreAcrossRuns(t *testing.T) {
 	plain := qs()
 	shared := qs()
@@ -127,5 +130,24 @@ func TestSharedGraphStoreAcrossRuns(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("shared graph store changed the result:\nplain:\n%s\nshared:\n%s",
 			a.Table(), b.Table())
+	}
+
+	private := qs()
+	private.Trajectories = nil // a private trajectory per run
+	private.Parallel = 4
+	for _, fig := range []struct {
+		id  string
+		run func(Scale) *Result
+	}{{"fig6c", Fig6c}, {"headline", Headline}, {"ablation-orbweights", AblationORBWeights}} {
+		want := fig.run(private)
+		for _, parallel := range []int{1, 4} {
+			sc := qs()
+			sc.Parallel = parallel
+			sc.Trajectories = nbody.NewStore()
+			if got := fig.run(sc); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: shared trajectory store at parallel %d changed the result:\nprivate:\n%s\nshared:\n%s",
+					fig.id, parallel, want.Table(), got.Table())
+			}
+		}
 	}
 }

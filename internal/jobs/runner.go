@@ -11,6 +11,7 @@ import (
 
 	"ompsscluster/internal/expander"
 	"ompsscluster/internal/experiments"
+	"ompsscluster/internal/nbody"
 	"ompsscluster/internal/simtime"
 	"ompsscluster/internal/sweep"
 )
@@ -272,6 +273,7 @@ func (r *Runner) runOnce(job Job, ckpt *Checkpointer) (res *experiments.Result, 
 		sc.SimWorkers = job.Spec.SimWorkers
 	}
 	sc.Graphs = expander.NewStore("")
+	sc.Trajectories = nbody.NewStore()
 	sc.Engine = simtime.NewStatsCollector()
 
 	ctx, cancel := context.WithCancelCause(context.Background())

@@ -40,65 +40,46 @@ type AdapterConfig struct {
 	TimeWeights bool
 	// Seed initializes the body distribution.
 	Seed int64
+	// Trajectories, when non-nil, shares the physics with every other
+	// run of the same Bodies, Steps, Theta, DT and Seed.
+	Trajectories *Store
 }
 
 // ClusterSim couples the real Barnes–Hut physics with the simulated
 // MPI+OmpSs-2@Cluster runtime: every timestep each apprank recomputes the
-// ORB decomposition (replicated, as in the original code), evaluates the
-// real forces for its bodies, and submits force tasks whose durations are
-// the measured interaction counts scaled by CostPerInteraction. ORB
-// balances interaction counts, so on a machine with a slow node the slow
-// ranks still receive equal work — the imbalance the paper's Figure 6(c)
-// studies.
+// ORB decomposition (replicated, as in the original code), reads the real
+// interaction counts of its bodies from the run's Trajectory, and submits
+// force tasks whose durations are those counts scaled by
+// CostPerInteraction. ORB balances interaction counts, so on a machine
+// with a slow node the slow ranks still receive equal work — the
+// imbalance the paper's Figure 6(c) studies.
 type ClusterSim struct {
-	cfg AdapterConfig
-	sys *System
+	cfg  AdapterConfig
+	traj *Trajectory
 
-	weights []float64 // per-body interaction counts from the last step
-	acc     []Vec3
-	counts  []int
+	weights []float64 // per-body ORB weights from the last step
 
-	// mu guards the once-per-step replicated transitions (leapfrog
-	// apply, ORB decomposition, tree build): under the partitioned
-	// engine, ranks on different host workers reach them concurrently.
-	// Every transition is first-toucher idempotent with inputs that are
-	// complete before any rank can reach it, so which rank performs it
-	// — a function of wake order the partitioned engine does not
-	// reproduce across partitions — is unobservable.
-	mu         sync.Mutex
-	orbStep    int   // step the cached assignment belongs to
-	orbAssign  []int // cached ORB assignment
-	treeStep   int
-	tree       *Octree
-	appliedFor int            // last step whose leapfrog update has been applied
-	stepEnds   []simtime.Time // per-step completion times (rank 0)
+	// mu guards the once-per-step ORB decomposition, which ranks on
+	// different host workers of the partitioned engine reach concurrently.
+	// Its inputs are complete before any rank can reach it, so which rank
+	// computes it (a wake-order accident) is unobservable.
+	mu        sync.Mutex
+	orbStep   int            // step the cached assignment belongs to
+	orbAssign []int          // cached ORB assignment
+	stepEnds  []simtime.Time // per-step completion times (rank 0)
 }
 
-// NewClusterSim builds the coupled simulation.
+// NewClusterSim builds the coupled simulation. Its physics comes from
+// cfg.Trajectories, or from a private trajectory when that is nil.
 func NewClusterSim(cfg AdapterConfig) *ClusterSim {
-	if cfg.Bodies <= 0 || cfg.Steps <= 0 || cfg.ChunksPerRank <= 0 {
-		panic("nbody: Bodies, Steps and ChunksPerRank must be positive")
-	}
-	if cfg.CostPerInteraction <= 0 {
-		panic("nbody: CostPerInteraction must be positive")
-	}
-	if cfg.Theta == 0 {
-		cfg.Theta = 0.5
-	}
-	sys := NewRandomSphere(cfg.Bodies, cfg.Seed)
-	sys.Theta = cfg.Theta
-	if cfg.DT > 0 {
-		sys.DT = cfg.DT
+	if cfg.Bodies <= 0 || cfg.Steps <= 0 || cfg.ChunksPerRank <= 0 || cfg.CostPerInteraction <= 0 {
+		panic("nbody: Bodies, Steps, ChunksPerRank and CostPerInteraction must be positive")
 	}
 	cs := &ClusterSim{
-		cfg:        cfg,
-		sys:        sys,
-		weights:    make([]float64, cfg.Bodies),
-		acc:        make([]Vec3, cfg.Bodies),
-		counts:     make([]int, cfg.Bodies),
-		orbStep:    -1,
-		treeStep:   -1,
-		appliedFor: -1,
+		cfg:     cfg,
+		traj:    cfg.Trajectories.Get(cfg),
+		weights: make([]float64, cfg.Bodies),
+		orbStep: -1,
 	}
 	for i := range cs.weights {
 		cs.weights[i] = 1
@@ -106,52 +87,18 @@ func NewClusterSim(cfg AdapterConfig) *ClusterSim {
 	return cs
 }
 
-// System exposes the underlying physical state (for verification).
-func (cs *ClusterSim) System() *System { return cs.sys }
-
 // orb returns the ORB assignment for the given step, computing it once
 // per step (every rank would compute the identical replicated
-// decomposition). It first applies any pending leapfrog update for the
-// previous step, so the decomposition always reads post-integration
-// positions no matter which rank gets here first.
+// decomposition) from the step's post-integration positions.
 func (cs *ClusterSim) orb(step, parts int) []int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cs.ensureStepped(step - 1)
 	if cs.orbStep != step {
-		pos := make([]Vec3, len(cs.sys.Bodies))
-		for i, b := range cs.sys.Bodies {
-			pos[i] = b.Pos
-		}
+		pos, _ := cs.traj.Step(step)
 		cs.orbAssign = ORB(pos, cs.weights, parts)
 		cs.orbStep = step
 	}
 	return cs.orbAssign
-}
-
-// treeFor returns the step's octree, built once from the replicated
-// post-integration positions.
-func (cs *ClusterSim) treeFor(step int) *Octree {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.treeStep != step {
-		cs.tree = cs.sys.BuildTree()
-		cs.treeStep = step
-	}
-	return cs.tree
-}
-
-// ensureStepped applies the leapfrog update for the given step if it has
-// not been applied yet. Callers hold cs.mu. The accelerations are
-// complete before any rank can reach the transition: every rank writes
-// its own bodies' entries before entering the step's allgather, and the
-// collective completes only after all ranks have entered.
-func (cs *ClusterSim) ensureStepped(step int) {
-	if step < 0 || cs.appliedFor >= step {
-		return
-	}
-	cs.appliedFor = step
-	cs.sys.Step(cs.acc)
 }
 
 // Main returns the SPMD main function.
@@ -173,30 +120,23 @@ func (cs *ClusterSim) Main() func(app *core.App) {
 					mine = append(mine, i)
 				}
 			}
-			// Real physics: build the tree (cached per step — every rank
-			// would build an identical replica) and evaluate forces for
-			// this rank's bodies, recording interaction counts. The rank
-			// also stamps its own bodies' ORB weights here, before the
-			// step's allgather, so the weights are complete — and
-			// identical regardless of post-collective wake order — by the
-			// time any rank computes the next step's decomposition.
-			tree := cs.treeFor(step)
-			rankInteractions := 0
-			for _, i := range mine {
-				cs.acc[i], cs.counts[i] = tree.ForceOn(i)
-				rankInteractions += cs.counts[i]
-			}
-			if !cs.cfg.TimeWeights {
-				for _, i := range mine {
-					cs.weights[i] = float64(cs.counts[i])
-				}
-			} else {
+			// Real physics: this rank's bodies' interaction counts from
+			// the trajectory. The rank also stamps its own bodies' ORB
+			// weights here, before the step's allgather, so the weights
+			// are complete — and identical regardless of post-collective
+			// wake order — by the time any rank computes the next step's
+			// decomposition.
+			_, counts := cs.traj.Step(step)
+			speed := 1.0 // count weights: division by 1 is exact
+			if cs.cfg.TimeWeights {
 				// Time-scaled: interaction count over the executing
 				// rank's home-node speed.
-				speed := app.NodeSpeed()
-				for _, i := range mine {
-					cs.weights[i] = float64(cs.counts[i]) / speed
-				}
+				speed = app.NodeSpeed()
+			}
+			rankInteractions := 0
+			for _, i := range mine {
+				rankInteractions += counts[i]
+				cs.weights[i] = float64(counts[i]) / speed
 			}
 			// Tree construction runs as a non-offloadable task at home: it
 			// consumes the previous step's force outputs (pulling any
@@ -223,7 +163,7 @@ func (cs *ClusterSim) Main() func(app *core.App) {
 				hiC := len(mine) * (c + 1) / nchunks
 				inter := 0
 				for _, i := range mine[loC:hiC] {
-					inter += cs.counts[i]
+					inter += counts[i]
 				}
 				// Out on the chunk: each step's forces overwrite dead
 				// data, so the freshly built home-resident tree drives
@@ -243,12 +183,6 @@ func (cs *ClusterSim) Main() func(app *core.App) {
 			// Exchange updated positions (the allgather of the original
 			// code).
 			app.Comm().Allgather(rankInteractions, int64(cs.cfg.Bodies*24/parts))
-			// Integrate once — every rank holds a replica of the same
-			// state. The next step's orb() performs the same transition,
-			// so the final step still integrates when no rank loops again.
-			cs.mu.Lock()
-			cs.ensureStepped(step)
-			cs.mu.Unlock()
 			if rank == 0 {
 				cs.stepEnds = append(cs.stepEnds, app.Now())
 			}
@@ -260,22 +194,4 @@ func (cs *ClusterSim) Main() func(app *core.App) {
 // Valid after the run; a ClusterSim must not be reused across runs.
 func (cs *ClusterSim) StepEnds() []simtime.Time {
 	return append([]simtime.Time(nil), cs.stepEnds...)
-}
-
-// TotalWorkNominal estimates the run's total nominal task work in
-// core-nanoseconds by replaying the physics on a copy (used by
-// experiments to compute the perfect-balance bound without a cluster
-// run).
-func (cs *ClusterSim) TotalWorkNominal(parts int) float64 {
-	clone := NewClusterSim(cs.cfg)
-	total := 0.0
-	for step := 0; step < cs.cfg.Steps; step++ {
-		acc, counts := clone.sys.ComputeForces()
-		for _, c := range counts {
-			total += float64(c) * float64(cs.cfg.CostPerInteraction)
-		}
-		total += float64(cs.cfg.TreeCostPerBody) * float64(cs.cfg.Bodies) * float64(parts)
-		clone.sys.Step(acc)
-	}
-	return total
 }

@@ -1,6 +1,8 @@
 package nbody
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"ompsscluster/internal/cluster"
@@ -36,8 +38,9 @@ func TestClusterSimRuns(t *testing.T) {
 }
 
 func TestClusterSimPhysicsMatchesStandalone(t *testing.T) {
-	// Running through the cluster runtime must produce exactly the same
-	// physics as the standalone loop (the runtime only affects timing).
+	// The trajectory a cluster run reads must be exactly the physics of
+	// the standalone loop, step by step (the runtime only affects
+	// timing): positions, interaction counts and final state bitwise.
 	cfg := testAdapterConfig()
 	cs := NewClusterSim(cfg)
 	m := cluster.New(2, 4, cluster.DefaultNet())
@@ -45,17 +48,82 @@ func TestClusterSimPhysicsMatchesStandalone(t *testing.T) {
 	if err := rt.Run(cs.Main()); err != nil {
 		t.Fatal(err)
 	}
-	ref := NewClusterSim(cfg) // standalone replay
+	ref := NewRandomSphere(cfg.Bodies, cfg.Seed) // standalone replay
 	for step := 0; step < cfg.Steps; step++ {
-		acc, _ := ref.sys.ComputeForces()
-		ref.sys.Step(acc)
+		pos, counts := cs.traj.Step(step)
+		tree := ref.BuildTree()
+		acc := make([]Vec3, len(ref.Bodies))
+		for i := range ref.Bodies {
+			var n int
+			acc[i], n = tree.ForceOn(i)
+			if pos[i] != ref.Bodies[i].Pos || counts[i] != n {
+				t.Fatalf("step %d body %d: trajectory (%v, %d), standalone (%v, %d)",
+					step, i, pos[i], counts[i], ref.Bodies[i].Pos, n)
+			}
+		}
+		ref.Step(acc)
 	}
-	for i := range ref.sys.Bodies {
-		d := ref.sys.Bodies[i].Pos.Sub(cs.sys.Bodies[i].Pos).Norm()
-		if d > 1e-12 {
-			t.Fatalf("body %d diverged by %v", i, d)
+	for i, p := range cs.traj.Final() {
+		if p != ref.Bodies[i].Pos {
+			t.Fatalf("final body %d: trajectory %v, standalone %v", i, p, ref.Bodies[i].Pos)
 		}
 	}
+}
+
+func TestStoreOneTrajectoryPerKey(t *testing.T) {
+	s := NewStore()
+	cfg := testAdapterConfig()
+	a := s.Get(cfg)
+	// Fields outside the physics key share the trajectory.
+	other := cfg
+	other.ChunksPerRank, other.CostPerInteraction, other.TimeWeights = 3, 7, true
+	if s.Get(other) != a {
+		t.Error("a config differing only outside the physics key got a new trajectory")
+	}
+	// Applying the defaults explicitly names the same physics.
+	other = cfg
+	other.Theta, other.DT = 0.5, defaultDT
+	if s.Get(other) != a {
+		t.Error("explicit default Theta and DT got a new trajectory")
+	}
+	for name, mod := range map[string]func(*AdapterConfig){
+		"seed":   func(c *AdapterConfig) { c.Seed++ },
+		"bodies": func(c *AdapterConfig) { c.Bodies++ },
+		"steps":  func(c *AdapterConfig) { c.Steps++ },
+		"theta":  func(c *AdapterConfig) { c.Theta = 0.7 },
+		"dt":     func(c *AdapterConfig) { c.DT = 0.02 },
+	} {
+		c := cfg
+		mod(&c)
+		if s.Get(c) == a {
+			t.Errorf("a different %s collided with the base trajectory", name)
+		}
+	}
+	if (*Store)(nil).Get(cfg) == (*Store)(nil).Get(cfg) {
+		t.Error("a nil store shared a trajectory between runs")
+	}
+}
+
+func TestTrajectoryConcurrentReaders(t *testing.T) {
+	cfg := testAdapterConfig()
+	want := (*Store)(nil).Get(cfg)
+	shared := NewStore().Get(cfg)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < cfg.Steps; k++ {
+				step := (k + g) % cfg.Steps // readers start at different steps
+				pos, counts := shared.Step(step)
+				wpos, wcounts := want.Step(step)
+				if !reflect.DeepEqual(pos, wpos) || !reflect.DeepEqual(counts, wcounts) {
+					t.Errorf("goroutine %d: step %d differs from a private trajectory", g, step)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestSlowNodeHurtsWithoutBalancing(t *testing.T) {
@@ -93,16 +161,17 @@ func TestSlowNodeHurtsWithoutBalancing(t *testing.T) {
 }
 
 // TestParallelClusterSimMatchesSequential pins the partitioned engine on
-// the one workload with replicated host-side state (ORB, octree,
-// leapfrog): step completion times, elapsed time and the final physics
-// must be identical to the sequential engine at any worker count. The
-// slow node plus two appranks per node maximizes same-instant collective
-// ties, and time-weighted ORB exercises the per-rank weight stamping.
+// the one workload with first-toucher host-side state (ORB, and the
+// lazily integrated trajectory): step completion times, elapsed time and
+// the final physics must be identical to the sequential engine at any
+// worker count. The slow node plus two appranks per node maximizes
+// same-instant collective ties, and time-weighted ORB exercises the
+// per-rank weight stamping.
 func TestParallelClusterSimMatchesSequential(t *testing.T) {
 	for _, timeWeights := range []bool{false, true} {
 		cfg := testAdapterConfig()
 		cfg.TimeWeights = timeWeights
-		run := func(parallel bool, workers int) ([]simtime.Time, simtime.Duration, *System, bool) {
+		run := func(parallel bool, workers int) ([]simtime.Time, simtime.Duration, []Vec3, bool) {
 			cs := NewClusterSim(cfg)
 			mach := cluster.New(4, 8, cluster.DefaultNet())
 			mach.SetSpeed(0, 0.6)
@@ -117,11 +186,11 @@ func TestParallelClusterSimMatchesSequential(t *testing.T) {
 			if err := rt.Run(cs.Main()); err != nil {
 				t.Fatal(err)
 			}
-			return cs.StepEnds(), rt.Elapsed(), cs.System(), rt.Engine() != nil
+			return cs.StepEnds(), rt.Elapsed(), cs.traj.Final(), rt.Engine() != nil
 		}
-		refEnds, refElapsed, refSys, _ := run(false, 0)
+		refEnds, refElapsed, refPos, _ := run(false, 0)
 		for _, workers := range []int{1, 4} {
-			ends, elapsed, sys, engaged := run(true, workers)
+			ends, elapsed, pos, engaged := run(true, workers)
 			if !engaged {
 				t.Fatalf("timeWeights=%v workers=%d: parallel engine did not engage", timeWeights, workers)
 			}
@@ -136,20 +205,12 @@ func TestParallelClusterSimMatchesSequential(t *testing.T) {
 					t.Errorf("timeWeights=%v workers=%d: step %d ended at %v, sequential %v", timeWeights, workers, i, ends[i], refEnds[i])
 				}
 			}
-			for i := range refSys.Bodies {
-				if sys.Bodies[i].Pos != refSys.Bodies[i].Pos {
+			for i := range refPos {
+				if pos[i] != refPos[i] {
 					t.Fatalf("timeWeights=%v workers=%d: body %d position diverged", timeWeights, workers, i)
 				}
 			}
 		}
-	}
-}
-
-func TestTotalWorkNominalPositive(t *testing.T) {
-	cs := NewClusterSim(testAdapterConfig())
-	w := cs.TotalWorkNominal(2)
-	if w <= 0 {
-		t.Fatalf("TotalWorkNominal = %v", w)
 	}
 }
 

@@ -8,7 +8,8 @@
 // O(n²) summation (the verification baseline), and an ORB partitioner
 // that splits bodies across ranks by work weight. The cluster adapter in
 // adapter.go drives the simulated runtime with per-chunk interaction
-// counts as task durations.
+// counts as task durations, read from a Trajectory (trajectory.go) that
+// integrates the physics once and shares it between runs.
 package nbody
 
 import (
@@ -56,6 +57,9 @@ type System struct {
 	Eps float64
 }
 
+// defaultDT is the leapfrog timestep of a new system.
+const defaultDT = 1e-3
+
 // NewRandomSphere builds a system of n bodies uniformly distributed in a
 // unit sphere with small random velocities and equal masses summing to 1.
 func NewRandomSphere(n int, seed int64) *System {
@@ -67,7 +71,7 @@ func NewRandomSphere(n int, seed int64) *System {
 		Bodies: make([]Body, n),
 		Theta:  0.5,
 		G:      1,
-		DT:     1e-3,
+		DT:     defaultDT,
 		Eps:    1e-2,
 	}
 	for i := range s.Bodies {
@@ -120,6 +124,15 @@ func (s *System) Step(acc []Vec3) {
 		b.Vel = b.Vel.Add(acc[i].Scale(s.DT))
 		b.Pos = b.Pos.Add(b.Vel.Scale(s.DT))
 	}
+}
+
+// positions returns a copy of the body positions.
+func (s *System) positions() []Vec3 {
+	pos := make([]Vec3, len(s.Bodies))
+	for i, b := range s.Bodies {
+		pos[i] = b.Pos
+	}
+	return pos
 }
 
 // Momentum returns the total linear momentum.

@@ -27,8 +27,8 @@ func TestRandomSphereProperties(t *testing.T) {
 func TestTreeAggregates(t *testing.T) {
 	s := NewRandomSphere(200, 2)
 	tr := s.BuildTree()
-	if tr.NumBodies() != 200 {
-		t.Fatalf("tree indexes %d bodies, want 200", tr.NumBodies())
+	if tr.root.nbodies != 200 {
+		t.Fatalf("tree indexes %d bodies, want 200", tr.root.nbodies)
 	}
 	if math.Abs(tr.root.mass-1) > 1e-9 {
 		t.Fatalf("root mass = %v, want 1", tr.root.mass)
@@ -157,7 +157,7 @@ func TestORBBalancesUniformWeights(t *testing.T) {
 	}
 	for _, parts := range []int{2, 4, 8, 16, 3, 5} {
 		assign := ORB(pos, nil, parts)
-		w := PartWeights(assign, nil, parts)
+		w := partWeights(assign, nil, parts)
 		for p, v := range w {
 			ideal := 1024.0 / float64(parts)
 			if math.Abs(v-ideal) > ideal*0.1+1 {
@@ -179,7 +179,7 @@ func TestORBBalancesSkewedWeights(t *testing.T) {
 		total += weights[i]
 	}
 	assign := ORB(pos, weights, 8)
-	w := PartWeights(assign, weights, 8)
+	w := partWeights(assign, weights, 8)
 	ideal := total / 8
 	for p, v := range w {
 		if math.Abs(v-ideal) > ideal*0.15 {
@@ -303,4 +303,17 @@ func TestQuickTreeForceSane(t *testing.T) {
 			}
 		}
 	}
+}
+
+// partWeights sums the weight assigned to each part.
+func partWeights(assign []int, weights []float64, parts int) []float64 {
+	out := make([]float64, parts)
+	for i, p := range assign {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		out[p] += w
+	}
+	return out
 }

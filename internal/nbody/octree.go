@@ -16,9 +16,8 @@ type cell struct {
 
 // Octree is a Barnes–Hut spatial tree over a snapshot of body positions.
 type Octree struct {
-	sys   *System
-	root  *cell
-	cells int
+	sys  *System
+	root *cell
 }
 
 // BuildTree constructs the octree for the current body positions.
@@ -43,7 +42,6 @@ func (s *System) BuildTree() *Octree {
 	}
 	half += 1e-12 // keep boundary bodies strictly inside
 	t.root = &cell{center: center, half: half, body: -1}
-	t.cells = 1
 	for i := range s.Bodies {
 		t.insert(t.root, i, 0)
 	}
@@ -101,7 +99,6 @@ func (t *Octree) pushDown(c *cell, i, depth int) {
 	if ch == nil {
 		ch = &cell{center: c.center.Add(off), half: c.half / 2, body: -1}
 		c.children[oct] = ch
-		t.cells++
 	}
 	t.insert(ch, i, depth+1)
 }
@@ -119,17 +116,6 @@ func (t *Octree) finalize(c *cell) {
 			t.finalize(ch)
 		}
 	}
-}
-
-// Cells returns the number of allocated tree cells.
-func (t *Octree) Cells() int { return t.cells }
-
-// NumBodies returns the number of bodies indexed by the tree.
-func (t *Octree) NumBodies() int {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.nbodies
 }
 
 // ForceOn evaluates the Barnes–Hut acceleration on body i and returns it

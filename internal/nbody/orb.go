@@ -54,12 +54,11 @@ func ORB(pos []Vec3, weights []float64, parts int) []int {
 			return ids[a] < ids[b]
 		})
 		leftParts := nParts / 2
-		target := 0.0
 		total := 0.0
 		for _, i := range ids {
 			total += w(i)
 		}
-		target = total * float64(leftParts) / float64(nParts)
+		target := total * float64(leftParts) / float64(nParts)
 		// Find the cut achieving the target weight on the left.
 		acc := 0.0
 		cut := 0
@@ -104,18 +103,4 @@ func widestAxis(pos []Vec3, ids []int) int {
 		}
 	}
 	return axis
-}
-
-// PartWeights sums the weight assigned to each part (for balance tests
-// and the adapter's diagnostics).
-func PartWeights(assign []int, weights []float64, parts int) []float64 {
-	out := make([]float64, parts)
-	for i, p := range assign {
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		out[p] += w
-	}
-	return out
 }

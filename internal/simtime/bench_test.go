@@ -8,8 +8,8 @@ import (
 // BenchmarkEngineHotPath models the engine's dominant workload: task
 // completion cascades that schedule follow-up events at the current
 // timestamp, mixed with a minority of timer-like events in the future.
-// It reports events/sec of host time, the number the profiling harness
-// (bench/record.sh) tracks across PRs.
+// It reports events/sec of host time, the engine's raw throughput; the
+// lbbench harness measures it end to end as simtime.events_per_host_s.
 func BenchmarkEngineHotPath(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEnv()
