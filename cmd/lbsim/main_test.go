@@ -303,3 +303,20 @@ func TestRunPoliciesExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTraceWriteFailure: a trace destination that rejects writes
+// (/dev/full fails every write with ENOSPC) makes lbsim exit non-zero
+// with the write error, and so does one that cannot be created.
+func TestRunTraceWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	code, _, stderr := exec(t, "-exp", "fig9", "-scale", "quick", "-trace", "/dev/full")
+	if code != 1 || !strings.Contains(stderr, "no space left") {
+		t.Errorf("-trace /dev/full: exit = %d, stderr = %q; want 1 and the write error", code, stderr)
+	}
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "t.json")
+	if code, _, _ := exec(t, "-exp", "fig9", "-scale", "quick", "-trace", missing); code != 1 {
+		t.Errorf("-trace into a missing directory: exit = %d, want 1", code)
+	}
+}

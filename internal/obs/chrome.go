@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Chrome Trace Format export: one JSON document loadable in Perfetto
@@ -30,6 +30,14 @@ import (
 //
 // Timestamps are virtual nanoseconds divided by 1000 (the format wants
 // microseconds) with three decimals, so nothing is rounded away.
+//
+// The export streams in two passes over each recorder's ring, read in
+// place. The first collects the set of named tracks (running the lane
+// assignment, since lanes name the "core N" threads) and which span
+// halves are retained; the second writes the sorted track metadata and
+// then every event straight into one reused buffer that is flushed to
+// the destination as it fills. Memory beyond the rings is O(tracks)
+// plus the buffer.
 
 const (
 	chromeApprankPid = 5000
@@ -41,26 +49,32 @@ const (
 	pidStride        = 10000
 )
 
-// chromeWriter accumulates trace-event JSON objects plus the metadata
-// naming their tracks, then writes metadata first so viewers label
-// every track.
-type chromeWriter struct {
-	events []string
-	meta   map[string]struct{} // metadata lines, deduped
+// chromeBufSize is the size at which the write buffer is flushed.
+const chromeBufSize = 64 << 10
+
+// maxExactTs bounds |ns| for which appendTs formats with integers: below
+// 1000·2^43 ns the rounding error of float64(ns)/1e3 stays under 2^-11
+// µs, so rounding to three decimals recovers the exact quotient.
+const maxExactTs = 1000 << 43
+
+// appendTs renders virtual nanoseconds as microseconds with nanosecond
+// precision preserved, byte-identical to
+// strconv.FormatFloat(float64(ns)/1e3, 'f', 3, 64).
+func appendTs(b []byte, ns int64) []byte {
+	if ns <= -maxExactTs || ns >= maxExactTs {
+		return strconv.AppendFloat(b, float64(ns)/1e3, 'f', 3, 64)
+	}
+	if ns < 0 {
+		b = append(b, '-')
+		ns = -ns
+	}
+	b = strconv.AppendInt(b, ns/1000, 10)
+	f := ns % 1000
+	return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 }
 
-func (cw *chromeWriter) event(line string)    { cw.events = append(cw.events, line) }
-func (cw *chromeWriter) metadata(line string) { cw.meta[line] = struct{}{} }
-func (cw *chromeWriter) processName(pid int, name string) {
-	cw.metadata(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`, pid, strconv.Quote(name)))
-}
-func (cw *chromeWriter) threadName(pid, tid int, name string) {
-	cw.metadata(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`, pid, tid, strconv.Quote(name)))
-}
-
-// ts renders virtual nanoseconds as microseconds with nanosecond
-// precision preserved.
-func ts(ns int64) string { return strconv.FormatFloat(float64(ns)/1e3, 'f', 3, 64) }
+// appendG renders v as fmt's %g does.
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 // laneTable assigns overlapping task executions on one node to stable
 // "core" lanes: ExecStart takes the lowest free lane, ExecEnd frees it.
@@ -68,8 +82,6 @@ type laneTable struct {
 	busy  []bool
 	byKey map[int64]int // (apprank<<32|taskID-ish) -> lane
 }
-
-func newLaneTable() *laneTable { return &laneTable{byKey: make(map[int64]int)} }
 
 func laneKey(e *Event) int64 { return int64(e.Apprank)<<40 ^ e.ID }
 
@@ -97,285 +109,499 @@ func (lt *laneTable) end(e *Event) (int, bool) {
 	return i, true
 }
 
+// laneTables holds one lane table per node.
+type laneTables map[int32]*laneTable
+
+func (ls laneTables) of(node int32) *laneTable {
+	lt, ok := ls[node]
+	if !ok {
+		lt = &laneTable{byKey: make(map[int64]int)}
+		ls[node] = lt
+	}
+	return lt
+}
+
+// trackName selects the template of a process or thread metadata line.
+type trackName uint8
+
+const (
+	procNode    trackName = iota // process "<label>/nodeN"
+	procApprank                  // process "<label>/apprankN"
+	procMetrics                  // process "<label>/metrics"
+	threadCore                   // thread "core <tid>"
+	threadDLB
+	threadCtl
+	threadFaults
+	threadChunk
+	threadLifecycle
+	threadScheduler
+	threadMessages
+	threadCollectives
+)
+
+var threadNames = [...]string{
+	threadDLB:         "dlb ownership",
+	threadCtl:         "ctl messages",
+	threadFaults:      "faults",
+	threadChunk:       "chunk server",
+	threadLifecycle:   "task lifecycle",
+	threadScheduler:   "scheduler",
+	threadMessages:    "messages",
+	threadCollectives: "collectives",
+}
+
+// trackKey identifies one metadata line. Process names use tid 0.
+type trackKey struct {
+	ri, pid, tid int
+	name         trackName
+}
+
+// appendLine renders k's metadata line; prefix is its recorder's label
+// prefix.
+func (k trackKey) appendLine(b []byte, prefix string) []byte {
+	b = append(b, `{"ph":"M","pid":`...)
+	b = strconv.AppendInt(b, int64(k.pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(k.tid), 10)
+	pidBase := k.ri * pidStride
+	var name string
+	switch k.name {
+	case procNode:
+		name = prefix + "node" + strconv.Itoa(k.pid-pidBase)
+	case procApprank:
+		name = prefix + "apprank" + strconv.Itoa(k.pid-pidBase-chromeApprankPid)
+	case procMetrics:
+		name = prefix + "metrics"
+	case threadCore:
+		name = "core " + strconv.Itoa(k.tid)
+	default:
+		name = threadNames[k.name]
+	}
+	if k.name <= procMetrics {
+		b = append(b, `,"name":"process_name","args":{"name":`...)
+	} else {
+		b = append(b, `,"name":"thread_name","args":{"name":`...)
+	}
+	b = strconv.AppendQuote(b, name)
+	return append(b, "}}"...)
+}
+
+// Span-half flags, per message id or fault plan index.
+const (
+	spanClosed uint8 = 1 << iota // the closing half is retained
+	spanOpened                   // the opening half was written as a span
+)
+
+// chromeRec is one recorder's export state between the two passes.
+type chromeRec struct {
+	r       *Recorder
+	ri      int
+	pidBase int
+	msgs    map[int64]uint8 // message id -> span flags
+	faults  map[int64]uint8 // fault plan index -> span flags
+	maxT    int64
+}
+
+func (x *chromeRec) nodePid(node int32) int { return x.pidBase + int(node) }
+func (x *chromeRec) rankPid(rank int32) int { return x.pidBase + chromeApprankPid + int(rank) }
+
 // WriteChrome exports the recorders' retained events as one Chrome
 // trace. labels (one per recorder, optional) prefix the process names so
 // multi-configuration bundles — e.g. fig9's baseline/LeWI/DROM runs —
-// stay distinguishable in a single Perfetto view.
+// stay distinguishable in a single Perfetto view. The first error
+// returned by w ends the export, and is returned.
 func WriteChrome(w io.Writer, recs []*Recorder, labels []string) error {
-	cw := &chromeWriter{meta: make(map[string]struct{})}
+	tracks := make(map[trackKey]struct{})
+	prefixes := make([]string, len(recs))
+	xs := make([]*chromeRec, 0, len(recs))
 	for ri, r := range recs {
 		if r == nil {
 			continue
 		}
-		label := ""
-		if ri < len(labels) {
-			label = labels[ri]
+		if ri < len(labels) && labels[ri] != "" {
+			prefixes[ri] = labels[ri] + "/"
 		}
-		writeRecorder(cw, ri, label, r)
+		x := &chromeRec{r: r, ri: ri, pidBase: ri * pidStride,
+			msgs: make(map[int64]uint8), faults: make(map[int64]uint8)}
+		x.scan(tracks)
+		xs = append(xs, x)
 	}
-	lines := make([]string, 0, len(cw.meta)+len(cw.events))
-	meta := make([]string, 0, len(cw.meta))
-	for m := range cw.meta {
-		meta = append(meta, m)
+	meta := make([]string, 0, len(tracks))
+	var line []byte
+	for k := range tracks {
+		line = k.appendLine(line[:0], prefixes[k.ri])
+		meta = append(meta, string(line))
 	}
 	sort.Strings(meta)
-	lines = append(lines, meta...)
-	lines = append(lines, cw.events...)
-	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
+	meta = slices.Compact(meta) // distinct keys may still render alike
+
+	c := &chromeEnc{w: w, b: make([]byte, 0, chromeBufSize+4<<10)}
+	c.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	for _, m := range meta {
+		c.line()
+		c.raw(m)
 	}
-	if _, err := io.WriteString(w, strings.Join(lines, ",\n")); err != nil {
-		return err
+	for _, x := range xs {
+		c.writeRecorder(x)
 	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	c.raw("\n]}\n")
+	c.flush()
+	return c.err
 }
 
-func writeRecorder(cw *chromeWriter, ri int, label string, r *Recorder) {
-	events := r.Events()
-	pidBase := ri * pidStride
-	prefix := ""
-	if label != "" {
-		prefix = label + "/"
+// scan is the first pass: it adds x's named tracks to tracks, marks
+// which span halves are retained and finds the last timestamp.
+func (x *chromeRec) scan(tracks map[trackKey]struct{}) {
+	node := func(node int32, tid int, name trackName) {
+		pid := x.nodePid(node)
+		tracks[trackKey{x.ri, pid, 0, procNode}] = struct{}{}
+		tracks[trackKey{x.ri, pid, tid, name}] = struct{}{}
 	}
-
-	// Prepass: messages that were eventually matched become async spans;
-	// unmatched ones stay instants (a span with no end would dangle).
-	matched := make(map[int64]bool)
-	opened := make(map[int64]bool) // posts whose "b" span was actually emitted
-	// Fault episodes mirror the message pattern: an inject becomes an
-	// async "b" span only when its recover edge is also retained,
-	// otherwise it degrades to an instant so spans never dangle.
-	recovered := make(map[int64]bool)
-	faultOpened := make(map[int64]bool)
-	maxT := int64(0)
-	for i := range events {
-		e := &events[i]
-		if e.Kind == KindMsgMatch {
-			matched[e.ID] = true
-		}
-		if e.Kind == KindFaultRecover {
-			recovered[e.ID] = true
-		}
-		if int64(e.T) > maxT {
-			maxT = int64(e.T)
-		}
+	rank := func(rank int32, tid int, name trackName) {
+		pid := x.rankPid(rank)
+		tracks[trackKey{x.ri, pid, 0, procApprank}] = struct{}{}
+		tracks[trackKey{x.ri, pid, tid, name}] = struct{}{}
 	}
-
-	lanes := make(map[int32]*laneTable)
-	lane := func(node int32) *laneTable {
-		lt, ok := lanes[node]
-		if !ok {
-			lt = newLaneTable()
-			lanes[node] = lt
-		}
-		return lt
-	}
-	nodePid := func(node int32) int { return pidBase + int(node) }
-	rankPid := func(rank int32) int { return pidBase + chromeApprankPid + int(rank) }
-	// Async-span ids must be unique across recorders sharing the file.
-	msgID := func(id int64) string { return fmt.Sprintf("\"%d.%d\"", ri, id) }
-
-	// openStarts tracks (pid, tid) of unterminated B slices so the export
-	// can close them at trace end and keep B/E balanced even if a run is
-	// cut short mid-task.
-	type openSlice struct {
-		pid, tid int
-		label    string
-	}
-	open := make(map[int64]openSlice)
-
-	for i := range events {
-		e := &events[i]
-		t := ts(int64(e.T))
+	lanes := laneTables{}
+	for i, n := 0, x.r.retained(); i < n; i++ {
+		e := x.r.at(i)
+		x.maxT = max(x.maxT, int64(e.T))
 		switch e.Kind {
 		case KindExecStart:
-			pid := nodePid(e.Node)
-			tid := lane(e.Node).start(e)
-			cw.processName(pid, fmt.Sprintf("%snode%d", prefix, e.Node))
-			cw.threadName(pid, tid, fmt.Sprintf("core %d", tid))
-			borrowed := "false"
-			if e.B != 0 {
-				borrowed = "true"
-			}
-			name := e.Label
-			if name == "" {
-				name = fmt.Sprintf("task %d", e.ID)
-			}
-			cw.event(fmt.Sprintf(`{"ph":"B","pid":%d,"tid":%d,"ts":%s,"name":%s,"cat":"task","args":{"apprank":%d,"task":%d,"worker":%d,"borrowed":%s}}`,
-				pid, tid, t, strconv.Quote(name), e.Apprank, e.ID, e.A, borrowed))
-			open[int64(pid)<<20|int64(tid)] = openSlice{pid, tid, name}
+			node(e.Node, lanes.of(e.Node).start(e), threadCore)
 		case KindExecEnd:
-			pid := nodePid(e.Node)
-			tid, ok := lane(e.Node).end(e)
-			if !ok {
-				continue // end without a recorded start (ring wrapped)
-			}
-			cw.event(fmt.Sprintf(`{"ph":"E","pid":%d,"tid":%d,"ts":%s}`, pid, tid, t))
-			delete(open, int64(pid)<<20|int64(tid))
+			lanes.of(e.Node).end(e)
 		case KindOwnSet, KindCoreBorrow, KindCoreReturn:
-			pid := nodePid(e.Node)
-			cw.processName(pid, fmt.Sprintf("%snode%d", prefix, e.Node))
-			cw.threadName(pid, chromeDlbTid, "dlb ownership")
-			var name, args string
-			switch e.Kind {
-			case KindOwnSet:
-				name = fmt.Sprintf("own core%d: %d->%d", e.A, e.B, e.C)
-				args = fmt.Sprintf(`{"apprank":%d,"worker":%d,"old_owned":%d,"new_owned":%d}`, e.Apprank, e.A, e.B, e.C)
-			case KindCoreBorrow:
-				name = fmt.Sprintf("borrow core%d", e.A)
-				args = fmt.Sprintf(`{"apprank":%d,"worker":%d,"running":%d}`, e.Apprank, e.A, e.B)
-			default:
-				name = fmt.Sprintf("return core%d", e.A)
-				args = fmt.Sprintf(`{"apprank":%d,"worker":%d,"running":%d}`, e.Apprank, e.A, e.B)
-			}
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%s,"s":"t","name":%s,"cat":"dlb","args":%s}`,
-				pid, chromeDlbTid, t, strconv.Quote(name), args))
+			node(e.Node, chromeDlbTid, threadDLB)
 		case KindTaskCreated, KindTaskReady, KindTaskScheduled:
-			pid := rankPid(e.Apprank)
-			cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.Apprank))
-			cw.threadName(pid, 0, "task lifecycle")
-			var name, args string
-			switch e.Kind {
-			case KindTaskCreated:
-				name = fmt.Sprintf("created %d", e.ID)
-				args = fmt.Sprintf(`{"task":%d,"access_bytes":%d}`, e.ID, e.A)
-			case KindTaskReady:
-				name = fmt.Sprintf("ready %d", e.ID)
-				args = fmt.Sprintf(`{"task":%d}`, e.ID)
-			default:
-				name = fmt.Sprintf("scheduled %d -> node%d", e.ID, e.Node)
-				args = fmt.Sprintf(`{"task":%d,"node":%d,"moved_bytes":%d,"transfer_ns":%d}`, e.ID, e.Node, e.A, e.B)
-			}
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":0,"ts":%s,"s":"t","name":%s,"cat":"lifecycle","args":%s}`,
-				pid, t, strconv.Quote(name), args))
-		case KindSchedDecision:
-			pid := rankPid(e.Apprank)
-			cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.Apprank))
-			cw.threadName(pid, 1, "scheduler")
-			outcome := [...]string{"best", "alt", "queued"}[e.D]
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":1,"ts":%s,"s":"t","name":%s,"cat":"sched","args":{"task":%d,"winner_node":%d,"candidates":%d,"local_bytes":%d,"outcome":%s}}`,
-				pid, t, strconv.Quote("sched "+outcome), e.ID, e.A, e.B, e.C, strconv.Quote(outcome)))
-		case KindMsgPost:
-			pid := rankPid(int32(e.B))
-			cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.B))
-			cw.threadName(pid, 2, "messages")
-			if matched[e.ID] {
-				opened[e.ID] = true
-				cw.event(fmt.Sprintf(`{"ph":"b","pid":%d,"tid":2,"ts":%s,"cat":"msg","id":%s,"name":%s,"args":{"src":%d,"dst":%d,"tag":%d,"bytes":%d}}`,
-					pid, t, msgID(e.ID), strconv.Quote(fmt.Sprintf("msg tag%d", e.C)), e.A, e.B, e.C, e.D))
-			} else {
-				cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":2,"ts":%s,"s":"t","name":%s,"cat":"msg","args":{"src":%d,"dst":%d,"tag":%d,"bytes":%d}}`,
-					pid, t, strconv.Quote(fmt.Sprintf("post tag%d", e.C)), e.A, e.B, e.C, e.D))
-			}
-		case KindMsgDeliver:
-			pid := rankPid(int32(e.B))
-			cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.B))
-			cw.threadName(pid, 2, "messages")
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":2,"ts":%s,"s":"t","name":%s,"cat":"msg","args":{"src":%d,"dst":%d,"tag":%d,"bytes":%d}}`,
-				pid, t, strconv.Quote(fmt.Sprintf("deliver tag%d", e.C)), e.A, e.B, e.C, e.D))
+			rank(e.Apprank, 0, threadLifecycle)
+		case KindSchedDecision, KindReoffload:
+			rank(e.Apprank, 1, threadScheduler)
+		case KindMsgPost, KindMsgDeliver, KindMsgDrop:
+			rank(int32(e.B), 2, threadMessages)
 		case KindMsgMatch:
-			if !opened[e.ID] {
-				continue // the post fell off the ring; no span to close
-			}
-			pid := rankPid(int32(e.B))
-			cw.event(fmt.Sprintf(`{"ph":"e","pid":%d,"tid":2,"ts":%s,"cat":"msg","id":%s,"args":{"queue_wait_ns":%d,"inflight_ns":%d}}`,
-				pid, t, msgID(e.ID), e.C, e.D))
+			x.msgs[e.ID] |= spanClosed
 		case KindCtlMsg:
-			pid := nodePid(e.Node)
-			cw.processName(pid, fmt.Sprintf("%snode%d", prefix, e.Node))
-			cw.threadName(pid, chromeCtlTid, "ctl messages")
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%s,"s":"t","name":"ctl","cat":"msg","args":{"from_node":%d,"to_node":%d,"bytes":%d}}`,
-				pid, chromeCtlTid, t, e.A, e.B, e.C))
+			node(e.Node, chromeCtlTid, threadCtl)
 		case KindCollective:
-			pid := rankPid(e.Apprank)
-			cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.Apprank))
-			cw.threadName(pid, 3, "collectives")
-			dur := int64(e.T) - e.A
-			if dur < 0 {
-				dur = 0
-			}
-			cw.event(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":3,"ts":%s,"dur":%s,"name":%s,"cat":"coll","args":{"bytes":%d,"ranks":%d}}`,
-				pid, ts(e.A), ts(dur), strconv.Quote(e.Label), e.B, e.C))
+			rank(e.Apprank, 3, threadCollectives)
 		case KindFaultInject, KindFaultRecover:
 			// Node-scoped faults land on the node's "faults" track;
 			// apprank-scoped ones (stall) on the apprank's.
-			var pid, tid int
 			if e.Node >= 0 {
-				pid, tid = nodePid(e.Node), chromeFaultTid
-				cw.processName(pid, fmt.Sprintf("%snode%d", prefix, e.Node))
+				node(e.Node, chromeFaultTid, threadFaults)
 			} else {
-				pid, tid = rankPid(e.Apprank), 4
-				cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.Apprank))
+				rank(e.Apprank, 4, threadFaults)
 			}
-			cw.threadName(pid, tid, "faults")
-			fid := fmt.Sprintf("\"f%d.%d\"", ri, e.ID)
 			if e.Kind == KindFaultRecover {
-				if !faultOpened[e.ID] {
+				x.faults[e.ID] |= spanClosed
+			}
+		case KindChunkGrant:
+			node(e.Node, chromeChunkTid, threadChunk)
+		case KindImbalance, KindPOPWindow:
+			tracks[trackKey{x.ri, x.pidBase + chromeCounterPid, 0, procMetrics}] = struct{}{}
+		}
+	}
+}
+
+// chromeEnc streams trace lines through one reused buffer. The first
+// write error is kept; nothing is written after it.
+type chromeEnc struct {
+	w   io.Writer
+	b   []byte
+	err error
+	sep bool // a line was written: the next one needs a separator
+}
+
+func (c *chromeEnc) flush() {
+	if c.err == nil && len(c.b) > 0 {
+		_, c.err = c.w.Write(c.b)
+	}
+	c.b = c.b[:0]
+}
+
+// line starts a trace line, flushing the buffer first once it is full.
+func (c *chromeEnc) line() {
+	if len(c.b) >= chromeBufSize {
+		c.flush()
+	}
+	if c.sep {
+		c.b = append(c.b, ",\n"...)
+	}
+	c.sep = true
+}
+
+func (c *chromeEnc) raw(s string)   { c.b = append(c.b, s...) }
+func (c *chromeEnc) int(v int64)    { c.b = strconv.AppendInt(c.b, v, 10) }
+func (c *chromeEnc) quote(s string) { c.b = strconv.AppendQuote(c.b, s) }
+func (c *chromeEnc) field(k string, v int64) {
+	c.raw(k)
+	c.int(v)
+}
+
+// head starts a line with its phase, track and timestamp.
+func (c *chromeEnc) head(ph string, pid, tid int, ns int64) {
+	c.line()
+	c.raw(`{"ph":"`)
+	c.raw(ph)
+	c.field(`","pid":`, int64(pid))
+	c.field(`,"tid":`, int64(tid))
+	c.raw(`,"ts":`)
+	c.b = appendTs(c.b, ns)
+}
+
+// instant starts a thread-scoped instant, up to its name's value.
+func (c *chromeEnc) instant(pid, tid int, ns int64) {
+	c.head("i", pid, tid, ns)
+	c.raw(`,"s":"t","name":`)
+}
+
+// asyncID writes an async-span id, unique across the recorders sharing
+// the file.
+func (c *chromeEnc) asyncID(kind string, ri int, id int64) {
+	c.raw(`,"id":"`)
+	c.raw(kind)
+	c.int(int64(ri))
+	c.raw(".")
+	c.int(id)
+	c.raw(`"`)
+}
+
+// msgArgs writes a message's args object and closes the line.
+func (c *chromeEnc) msgArgs(e *Event) {
+	c.field(`,"cat":"msg","args":{"src":`, e.A)
+	c.field(`,"dst":`, e.B)
+	c.field(`,"tag":`, e.C)
+	c.field(`,"bytes":`, e.D)
+	c.raw("}}")
+}
+
+// writeRecorder is the second pass over one recorder.
+func (c *chromeEnc) writeRecorder(x *chromeRec) {
+	lanes := laneTables{}
+	for i, n := 0, x.r.retained(); i < n && c.err == nil; i++ {
+		e := x.r.at(i)
+		t := int64(e.T)
+		switch e.Kind {
+		case KindExecStart:
+			c.head("B", x.nodePid(e.Node), lanes.of(e.Node).start(e), t)
+			c.raw(`,"name":`)
+			if e.Label != "" {
+				c.quote(e.Label)
+			} else {
+				c.field(`"task `, e.ID)
+				c.raw(`"`)
+			}
+			c.field(`,"cat":"task","args":{"apprank":`, int64(e.Apprank))
+			c.field(`,"task":`, e.ID)
+			c.field(`,"worker":`, e.A)
+			if e.B != 0 {
+				c.raw(`,"borrowed":true}}`)
+			} else {
+				c.raw(`,"borrowed":false}}`)
+			}
+		case KindExecEnd:
+			tid, ok := lanes.of(e.Node).end(e)
+			if !ok {
+				continue // end without a recorded start (ring wrapped)
+			}
+			c.head("E", x.nodePid(e.Node), tid, t)
+			c.raw("}")
+		case KindOwnSet:
+			c.instant(x.nodePid(e.Node), chromeDlbTid, t)
+			c.field(`"own core`, e.A)
+			c.field(`: `, e.B)
+			c.field(`->`, e.C)
+			c.field(`","cat":"dlb","args":{"apprank":`, int64(e.Apprank))
+			c.field(`,"worker":`, e.A)
+			c.field(`,"old_owned":`, e.B)
+			c.field(`,"new_owned":`, e.C)
+			c.raw("}}")
+		case KindCoreBorrow, KindCoreReturn:
+			c.instant(x.nodePid(e.Node), chromeDlbTid, t)
+			if e.Kind == KindCoreBorrow {
+				c.field(`"borrow core`, e.A)
+			} else {
+				c.field(`"return core`, e.A)
+			}
+			c.field(`","cat":"dlb","args":{"apprank":`, int64(e.Apprank))
+			c.field(`,"worker":`, e.A)
+			c.field(`,"running":`, e.B)
+			c.raw("}}")
+		case KindTaskCreated:
+			c.instant(x.rankPid(e.Apprank), 0, t)
+			c.field(`"created `, e.ID)
+			c.field(`","cat":"lifecycle","args":{"task":`, e.ID)
+			c.field(`,"access_bytes":`, e.A)
+			c.raw("}}")
+		case KindTaskReady:
+			c.instant(x.rankPid(e.Apprank), 0, t)
+			c.field(`"ready `, e.ID)
+			c.field(`","cat":"lifecycle","args":{"task":`, e.ID)
+			c.raw("}}")
+		case KindTaskScheduled:
+			c.instant(x.rankPid(e.Apprank), 0, t)
+			c.field(`"scheduled `, e.ID)
+			c.field(` -> node`, int64(e.Node))
+			c.field(`","cat":"lifecycle","args":{"task":`, e.ID)
+			c.field(`,"node":`, int64(e.Node))
+			c.field(`,"moved_bytes":`, e.A)
+			c.field(`,"transfer_ns":`, e.B)
+			c.raw("}}")
+		case KindSchedDecision:
+			outcome := [...]string{"best", "alt", "queued"}[e.D]
+			c.instant(x.rankPid(e.Apprank), 1, t)
+			c.raw(`"sched `)
+			c.raw(outcome)
+			c.field(`","cat":"sched","args":{"task":`, e.ID)
+			c.field(`,"winner_node":`, e.A)
+			c.field(`,"candidates":`, e.B)
+			c.field(`,"local_bytes":`, e.C)
+			c.raw(`,"outcome":"`)
+			c.raw(outcome)
+			c.raw(`"}}`)
+		case KindMsgPost:
+			pid := x.rankPid(int32(e.B))
+			if f := x.msgs[e.ID]; f&spanClosed != 0 {
+				x.msgs[e.ID] = f | spanOpened
+				c.head("b", pid, 2, t)
+				c.raw(`,"cat":"msg"`)
+				c.asyncID("", x.ri, e.ID)
+				c.field(`,"name":"msg tag`, e.C)
+				c.field(`","args":{"src":`, e.A)
+				c.field(`,"dst":`, e.B)
+				c.field(`,"tag":`, e.C)
+				c.field(`,"bytes":`, e.D)
+				c.raw("}}")
+			} else {
+				c.instant(pid, 2, t)
+				c.field(`"post tag`, e.C)
+				c.raw(`"`)
+				c.msgArgs(e)
+			}
+		case KindMsgDeliver:
+			c.instant(x.rankPid(int32(e.B)), 2, t)
+			c.field(`"deliver tag`, e.C)
+			c.raw(`"`)
+			c.msgArgs(e)
+		case KindMsgMatch:
+			if x.msgs[e.ID]&spanOpened == 0 {
+				continue // the post fell off the ring; no span to close
+			}
+			c.head("e", x.rankPid(int32(e.B)), 2, t)
+			c.raw(`,"cat":"msg"`)
+			c.asyncID("", x.ri, e.ID)
+			c.field(`,"args":{"queue_wait_ns":`, e.C)
+			c.field(`,"inflight_ns":`, e.D)
+			c.raw("}}")
+		case KindCtlMsg:
+			c.instant(x.nodePid(e.Node), chromeCtlTid, t)
+			c.field(`"ctl","cat":"msg","args":{"from_node":`, e.A)
+			c.field(`,"to_node":`, e.B)
+			c.field(`,"bytes":`, e.C)
+			c.raw("}}")
+		case KindCollective:
+			c.line()
+			c.field(`{"ph":"X","pid":`, int64(x.rankPid(e.Apprank)))
+			c.raw(`,"tid":3,"ts":`)
+			c.b = appendTs(c.b, e.A)
+			c.raw(`,"dur":`)
+			c.b = appendTs(c.b, max(t-e.A, 0))
+			c.raw(`,"name":`)
+			c.quote(e.Label)
+			c.field(`,"cat":"coll","args":{"bytes":`, e.B)
+			c.field(`,"ranks":`, e.C)
+			c.raw("}}")
+		case KindFaultInject, KindFaultRecover:
+			pid, tid := x.nodePid(e.Node), chromeFaultTid
+			if e.Node < 0 {
+				pid, tid = x.rankPid(e.Apprank), 4
+			}
+			f := x.faults[e.ID]
+			if e.Kind == KindFaultRecover {
+				if f&spanOpened == 0 {
 					continue // the inject fell off the ring; no span to close
 				}
-				cw.event(fmt.Sprintf(`{"ph":"e","pid":%d,"tid":%d,"ts":%s,"cat":"fault","id":%s,"args":{}}`,
-					pid, tid, t, fid))
+				c.head("e", pid, tid, t)
+				c.raw(`,"cat":"fault"`)
+				c.asyncID("f", x.ri, e.ID)
+				c.raw(`,"args":{}}`)
 				continue
 			}
-			args := fmt.Sprintf(`{"kind":%s,"plan_event":%d,"until_ns":%d,"b":%d,"c":%d}`,
-				strconv.Quote(e.Label), e.ID, e.A, e.B, e.C)
-			if recovered[e.ID] {
-				faultOpened[e.ID] = true
-				cw.event(fmt.Sprintf(`{"ph":"b","pid":%d,"tid":%d,"ts":%s,"cat":"fault","id":%s,"name":%s,"args":%s}`,
-					pid, tid, t, fid, strconv.Quote("fault "+e.Label), args))
+			if f&spanClosed != 0 {
+				x.faults[e.ID] = f | spanOpened
+				c.head("b", pid, tid, t)
+				c.raw(`,"cat":"fault"`)
+				c.asyncID("f", x.ri, e.ID)
+				c.raw(`,"name":`)
+				c.quote("fault " + e.Label)
 			} else {
-				cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%s,"s":"t","name":%s,"cat":"fault","args":%s}`,
-					pid, tid, t, strconv.Quote("fault "+e.Label), args))
+				c.instant(pid, tid, t)
+				c.quote("fault " + e.Label)
+				c.raw(`,"cat":"fault"`)
 			}
+			c.raw(`,"args":{"kind":`)
+			c.quote(e.Label)
+			c.field(`,"plan_event":`, e.ID)
+			c.field(`,"until_ns":`, e.A)
+			c.field(`,"b":`, e.B)
+			c.field(`,"c":`, e.C)
+			c.raw("}}")
 		case KindReoffload:
-			pid := rankPid(e.Apprank)
-			cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.Apprank))
-			cw.threadName(pid, 1, "scheduler")
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":1,"ts":%s,"s":"t","name":%s,"cat":"sched","args":{"task":%d,"old_node":%d,"new_node":%d,"attempt":%d,"local":%d}}`,
-				pid, t, strconv.Quote(fmt.Sprintf("reoffload %d", e.ID)), e.ID, e.A, e.Node, e.B, e.C))
+			c.instant(x.rankPid(e.Apprank), 1, t)
+			c.field(`"reoffload `, e.ID)
+			c.field(`","cat":"sched","args":{"task":`, e.ID)
+			c.field(`,"old_node":`, e.A)
+			c.field(`,"new_node":`, int64(e.Node))
+			c.field(`,"attempt":`, e.B)
+			c.field(`,"local":`, e.C)
+			c.raw("}}")
 		case KindMsgDrop:
-			pid := rankPid(int32(e.B))
-			cw.processName(pid, fmt.Sprintf("%sapprank%d", prefix, e.B))
-			cw.threadName(pid, 2, "messages")
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":2,"ts":%s,"s":"t","name":%s,"cat":"msg","args":{"src":%d,"dst":%d,"attempt":%d}}`,
-				pid, t, strconv.Quote("drop"), e.A, e.B, e.C))
+			c.instant(x.rankPid(int32(e.B)), 2, t)
+			c.field(`"drop","cat":"msg","args":{"src":`, e.A)
+			c.field(`,"dst":`, e.B)
+			c.field(`,"attempt":`, e.C)
+			c.raw("}}")
 		case KindChunkGrant:
-			pid := nodePid(e.Node)
-			cw.processName(pid, fmt.Sprintf("%snode%d", prefix, e.Node))
-			cw.threadName(pid, chromeChunkTid, "chunk server")
-			cw.event(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"ts":%s,"s":"t","name":%s,"cat":"sched","args":{"apprank":%d,"worker":%d,"tasks":%d,"remaining":%d}}`,
-				pid, chromeChunkTid, t, strconv.Quote(fmt.Sprintf("chunk %d", e.B)), e.Apprank, e.A, e.B, e.C))
+			c.instant(x.nodePid(e.Node), chromeChunkTid, t)
+			c.field(`"chunk `, e.B)
+			c.field(`","cat":"sched","args":{"apprank":`, int64(e.Apprank))
+			c.field(`,"worker":`, e.A)
+			c.field(`,"tasks":`, e.B)
+			c.field(`,"remaining":`, e.C)
+			c.raw("}}")
 		case KindImbalance:
-			pid := pidBase + chromeCounterPid
-			cw.processName(pid, prefix+"metrics")
-			cw.event(fmt.Sprintf(`{"ph":"C","pid":%d,"tid":0,"ts":%s,"name":"imbalance","args":{"imbalance":%g}}`,
-				pid, t, e.ImbalanceValue()))
+			c.head("C", x.pidBase+chromeCounterPid, 0, t)
+			c.raw(`,"name":"imbalance","args":{"imbalance":`)
+			c.b = appendG(c.b, e.ImbalanceValue())
+			c.raw("}}")
 		case KindPOPWindow:
 			// Windowed POP series: one counter track per node in the
 			// metrics process (tid 1+node keeps each node's samples
 			// time-ordered within its own track; the events are stamped
 			// with their window start, not the end-of-run emit time).
-			pid := pidBase + chromeCounterPid
-			cw.processName(pid, prefix+"metrics")
-			cw.event(fmt.Sprintf(`{"ph":"C","pid":%d,"tid":%d,"ts":%s,"name":"PE node%d","args":{"pe":%g}}`,
-				pid, 1+int(e.Node), t, e.Node, e.POPValue()))
+			c.head("C", x.pidBase+chromeCounterPid, 1+int(e.Node), t)
+			c.field(`,"name":"PE node`, int64(e.Node))
+			c.raw(`","args":{"pe":`)
+			c.b = appendG(c.b, e.POPValue())
+			c.raw("}}")
 		}
 	}
 
-	// Close any slice still open at trace end so B/E stay balanced.
-	closes := make([]openSlice, 0, len(open))
-	for _, s := range open {
-		closes = append(closes, s)
+	// Close any slice still open at trace end so B/E stay balanced: the
+	// busy lanes, in (pid, tid) order.
+	nodes := make([]int32, 0, len(lanes))
+	for node := range lanes {
+		nodes = append(nodes, node)
 	}
-	sort.Slice(closes, func(i, j int) bool {
-		if closes[i].pid != closes[j].pid {
-			return closes[i].pid < closes[j].pid
+	slices.Sort(nodes)
+	for _, node := range nodes {
+		for tid, busy := range lanes[node].busy {
+			if busy {
+				c.head("E", x.nodePid(node), tid, x.maxT)
+				c.raw("}")
+			}
 		}
-		return closes[i].tid < closes[j].tid
-	})
-	for _, s := range closes {
-		cw.event(fmt.Sprintf(`{"ph":"E","pid":%d,"tid":%d,"ts":%s}`, s.pid, s.tid, ts(maxT)))
 	}
 }
 

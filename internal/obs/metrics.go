@@ -41,9 +41,11 @@ func newMetrics() *Metrics {
 	}
 }
 
-// BuildMetrics replays r's retained events into a fresh registry.
-// Events dropped from the ring are reported in the events_dropped
-// counter; lifecycle pairs whose opening half was dropped are skipped.
+// BuildMetrics replays r's retained events into a fresh registry in one
+// pass over the ring, in place. Events dropped from the ring are
+// reported in the events_dropped counter; lifecycle pairs whose opening
+// half was dropped are skipped. A counter appears only once an event
+// that feeds it has been replayed.
 func BuildMetrics(r *Recorder) *Metrics {
 	m := newMetrics()
 	if r == nil {
@@ -55,95 +57,125 @@ func BuildMetrics(r *Recorder) *Metrics {
 	}
 	readyAt := make(map[taskKey]int64)
 	startAt := make(map[taskKey]int64)
-	for _, e := range r.Events() {
-		m.Counters["events_"+e.Kind.String()]++
+	var (
+		kinds                                                [numKinds]uint64
+		transferBytes, msgBytes, ctlBytes, chunkTasks        uint64
+		best, alt, queued, borrowedExecs, ownChanges, locals uint64
+		last                                                 simtime.Time
+		imbalance                                            float64
+	)
+	hTransfer := m.Histograms["transfer_bytes"]
+	hCandidates := m.Histograms["sched_candidates"]
+	hReadyWait := m.Histograms["task_ready_wait_seconds"]
+	hExec := m.Histograms["task_exec_seconds"]
+	hMsgBytes := m.Histograms["msg_bytes"]
+	hQueueWait := m.Histograms["msg_queue_wait_seconds"]
+	hInflight := m.Histograms["msg_inflight_seconds"]
+	hCollective := m.Histograms["collective_seconds"]
+	hChunk := m.Histograms["chunk_size_tasks"]
+	hImbalance := m.Histograms["imbalance"]
+	for i, n := 0, r.retained(); i < n; i++ {
+		e := r.at(i)
+		kinds[e.Kind]++
+		last = max(last, e.T)
 		switch e.Kind {
 		case KindTaskReady:
 			readyAt[taskKey{e.Apprank, e.ID}] = int64(e.T)
 		case KindTaskScheduled:
-			m.Counters["transfer_bytes_total"] += uint64(e.A)
+			transferBytes += uint64(e.A)
 			if e.A > 0 {
-				m.Histograms["transfer_bytes"].Observe(float64(e.A))
+				hTransfer.Observe(float64(e.A))
 			}
 		case KindSchedDecision:
-			m.Histograms["sched_candidates"].Observe(float64(e.B))
+			hCandidates.Observe(float64(e.B))
 			switch e.D {
 			case SchedBest:
-				m.Counters["sched_locality_best"]++
+				best++
 			case SchedAlt:
-				m.Counters["sched_locality_alt"]++
+				alt++
 			case SchedQueued:
-				m.Counters["sched_queued"]++
+				queued++
 			}
 		case KindExecStart:
 			k := taskKey{e.Apprank, e.ID}
 			startAt[k] = int64(e.T)
 			if readyT, ok := readyAt[k]; ok {
-				m.Histograms["task_ready_wait_seconds"].Observe(float64(int64(e.T)-readyT) / 1e9)
+				hReadyWait.Observe(float64(int64(e.T)-readyT) / 1e9)
 				delete(readyAt, k)
 			}
 			if e.B != 0 {
-				m.Counters["exec_on_borrowed_core"]++
+				borrowedExecs++
 			}
 		case KindExecEnd:
 			k := taskKey{e.Apprank, e.ID}
 			if startT, ok := startAt[k]; ok {
-				m.Histograms["task_exec_seconds"].Observe(float64(int64(e.T)-startT) / 1e9)
+				hExec.Observe(float64(int64(e.T)-startT) / 1e9)
 				delete(startAt, k)
 			}
 		case KindMsgPost:
-			m.Counters["msg_bytes_total"] += uint64(e.D)
+			msgBytes += uint64(e.D)
 			if e.D > 0 {
-				m.Histograms["msg_bytes"].Observe(float64(e.D))
+				hMsgBytes.Observe(float64(e.D))
 			}
 		case KindMsgMatch:
-			m.Histograms["msg_queue_wait_seconds"].Observe(float64(e.C) / 1e9)
-			m.Histograms["msg_inflight_seconds"].Observe(float64(e.D) / 1e9)
+			hQueueWait.Observe(float64(e.C) / 1e9)
+			hInflight.Observe(float64(e.D) / 1e9)
 		case KindCtlMsg:
-			m.Counters["ctl_bytes_total"] += uint64(e.C)
+			ctlBytes += uint64(e.C)
 		case KindCollective:
-			m.Histograms["collective_seconds"].Observe(float64(int64(e.T)-e.A) / 1e9)
+			hCollective.Observe(float64(int64(e.T)-e.A) / 1e9)
 		case KindOwnSet:
 			if e.B != e.C {
-				m.Counters["ownership_changes"]++
+				ownChanges++
 			}
-		case KindCoreBorrow:
-			m.Counters["core_borrows"]++
-		case KindCoreReturn:
-			m.Counters["core_returns"]++
-		case KindFaultInject:
-			m.Counters["faults_injected"]++
-		case KindFaultRecover:
-			m.Counters["faults_recovered"]++
 		case KindReoffload:
-			m.Counters["reoffloads"]++
 			if e.C != 0 {
-				m.Counters["reoffload_local_fallbacks"]++
+				locals++
 			}
-		case KindMsgDrop:
-			m.Counters["msg_drops"]++
 		case KindChunkGrant:
-			m.Counters["chunk_grants"]++
-			m.Counters["chunk_tasks_granted"] += uint64(e.B)
-			m.Histograms["chunk_size_tasks"].Observe(float64(e.B))
+			chunkTasks += uint64(e.B)
+			hChunk.Observe(float64(e.B))
 		case KindImbalance:
-			v := e.ImbalanceValue()
-			m.Histograms["imbalance"].Observe(v)
-			m.Gauges["imbalance_last"] = v
+			imbalance = e.ImbalanceValue()
+			hImbalance.Observe(imbalance)
 		}
+	}
+	for k, n := range kinds {
+		if n > 0 {
+			m.Counters["events_"+Kind(k).String()] = n
+		}
+	}
+	put := func(name string, v uint64, present bool) {
+		if present {
+			m.Counters[name] = v
+		}
+	}
+	count := func(name string, v uint64) { put(name, v, v > 0) }
+	// Totals appear with their first feeding event, even when they sum
+	// to zero; counts appear once nonzero.
+	put("transfer_bytes_total", transferBytes, kinds[KindTaskScheduled] > 0)
+	put("msg_bytes_total", msgBytes, kinds[KindMsgPost] > 0)
+	put("ctl_bytes_total", ctlBytes, kinds[KindCtlMsg] > 0)
+	put("chunk_tasks_granted", chunkTasks, kinds[KindChunkGrant] > 0)
+	count("sched_locality_best", best)
+	count("sched_locality_alt", alt)
+	count("sched_queued", queued)
+	count("exec_on_borrowed_core", borrowedExecs)
+	count("ownership_changes", ownChanges)
+	count("core_borrows", kinds[KindCoreBorrow])
+	count("core_returns", kinds[KindCoreReturn])
+	count("faults_injected", kinds[KindFaultInject])
+	count("faults_recovered", kinds[KindFaultRecover])
+	count("reoffloads", kinds[KindReoffload])
+	count("reoffload_local_fallbacks", locals)
+	count("msg_drops", kinds[KindMsgDrop])
+	count("chunk_grants", kinds[KindChunkGrant])
+	if kinds[KindImbalance] > 0 {
+		m.Gauges["imbalance_last"] = imbalance
 	}
 	m.Counters["events_dropped"] = r.Dropped()
-	m.Gauges["trace_end_seconds"] = lastTime(r).Seconds()
+	m.Gauges["trace_end_seconds"] = last.Seconds()
 	return m
-}
-
-func lastTime(r *Recorder) (t simtime.Time) {
-	for _, e := range r.Events() {
-		if e.T > t {
-			t = e.T
-		}
-	}
-	return t
 }
 
 // Merge folds o into m: counters add, gauges take o's value (last run

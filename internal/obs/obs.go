@@ -113,9 +113,18 @@ type Event struct {
 
 // DefaultCapacity is the ring size used when NewRecorder is given a
 // negative capacity: ~1M events, comfortably above a quick- or
-// default-scale figure run, without preallocating (the buffer grows on
-// demand and only wraps once the cap is reached).
+// default-scale figure run, without preallocating (storage grows one
+// chunk at a time and only wraps once the cap is reached).
 const DefaultCapacity = 1 << 20
+
+// The ring is stored in fixed chunks of chunkSize events, allocated as
+// the ring first fills. Growing never copies or clears retained events,
+// and a recorder below one chunk allocates only its capacity.
+const (
+	chunkShift = 12
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
 
 // Recorder collects events. Construct with NewRecorder; a nil *Recorder
 // is a valid, free-to-call disabled recorder. Recorders are not
@@ -124,11 +133,12 @@ const DefaultCapacity = 1 << 20
 type Recorder struct {
 	clock   func() simtime.Time
 	cap     int
-	buf     []Event // grows by append to cap, then wraps (ring)
-	next    int     // next overwrite position once len(buf) == cap
-	wrapped bool
-	dropped uint64 // events overwritten after the ring wrapped
+	chunks  [][]Event // ring slot i lives at chunks[i>>chunkShift][i&chunkMask]
+	n       int       // events retained, at most cap
+	next    int       // ring slot the next event is written to
+	dropped uint64    // events overwritten after the ring wrapped
 	taps    []func(*Event)
+	tapped  Event           // the event being passed to taps
 	workers map[int64]int32 // node<<32|worker -> apprank, for dlb emits
 	counts  [numKinds]uint64
 }
@@ -200,37 +210,62 @@ func (r *Recorder) emit(e Event) {
 // events carry their window times rather than the end-of-run clock.
 func (r *Recorder) emitStamped(e Event) {
 	r.counts[e.Kind]++
-	for _, tap := range r.taps {
-		tap(&e)
+	if len(r.taps) > 0 {
+		// Taps see the recorder's own copy: handing them &e would move
+		// every event to the heap.
+		r.tapped = e
+		for _, tap := range r.taps {
+			tap(&r.tapped)
+		}
+		e = r.tapped
 	}
 	if r.cap == 0 {
 		return
 	}
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, e)
-		return
+	i := r.next
+	if c := i >> chunkShift; c == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, min(chunkSize, r.cap-i)))
 	}
-	r.buf[r.next] = e
-	r.next++
-	if r.next == r.cap {
+	r.chunks[i>>chunkShift][i&chunkMask] = e
+	if r.next++; r.next == r.cap {
 		r.next = 0
 	}
-	r.wrapped = true
-	r.dropped++
+	if r.n < r.cap {
+		r.n++
+	} else {
+		r.dropped++
+	}
+}
+
+// retained reports how many events the ring holds.
+func (r *Recorder) retained() int {
+	if r == nil {
+		return 0
+	}
+	return r.n
+}
+
+// at returns the i-th retained event in chronological order, in place:
+// the pointer is valid until the next emit.
+func (r *Recorder) at(i int) *Event {
+	if r.n == r.cap {
+		// Full ring: the oldest event sits in the slot written next.
+		if i += r.next; i >= r.cap {
+			i -= r.cap
+		}
+	}
+	return &r.chunks[i>>chunkShift][i&chunkMask]
 }
 
 // Events returns the retained events in chronological order (a copy).
 func (r *Recorder) Events() []Event {
-	if r == nil || len(r.buf) == 0 {
+	n := r.retained()
+	if n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	if r.wrapped {
-		out = append(out, r.buf[r.next:]...)
-	}
-	out = append(out, r.buf[:r.next]...)
-	if !r.wrapped {
-		out = append(out, r.buf[r.next:]...)
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = *r.at(i)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -249,5 +250,24 @@ func TestNilRecorderAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-recorder emit path allocates (%v allocs/run)", allocs)
+	}
+}
+
+// TestWriteChromeAllocs pins the exporter's allocations on the tiny run
+// to O(tracks): metadata lines, lane and span tables, and one write
+// buffer, never a string per event.
+func TestWriteChromeAllocs(t *testing.T) {
+	ob, _ := tinyRun(t)
+	events := len(ob.Events())
+	tracks := bytes.Count(chromeBytes(t, ob), []byte(`"ph":"M"`))
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := obs.WriteChrome(io.Discard, []*obs.Recorder{ob}, []string{"tiny"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d events, %d tracks, %v allocs per export", events, tracks, allocs)
+	if limit := 3*tracks + 16; allocs > float64(limit) {
+		t.Fatalf("WriteChrome made %v allocations for %d events on %d tracks; want at most %d",
+			allocs, events, tracks, limit)
 	}
 }
