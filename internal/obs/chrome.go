@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Chrome Trace Format export: one JSON document loadable in Perfetto
@@ -36,8 +37,8 @@ import (
 // assignment, since lanes name the "core N" threads) and which span
 // halves are retained; the second writes the sorted track metadata and
 // then every event straight into one reused buffer that is flushed to
-// the destination as it fills. Memory beyond the rings is O(tracks)
-// plus the buffer.
+// the destination as it fills. Memory beyond the rings is O(tracks),
+// the span tables (O(retained messages and faults)) and the buffer.
 
 const (
 	chromeApprankPid = 5000
@@ -121,69 +122,32 @@ func (ls laneTables) of(node int32) *laneTable {
 	return lt
 }
 
-// trackName selects the template of a process or thread metadata line.
-type trackName uint8
-
-const (
-	procNode    trackName = iota // process "<label>/nodeN"
-	procApprank                  // process "<label>/apprankN"
-	procMetrics                  // process "<label>/metrics"
-	threadCore                   // thread "core <tid>"
-	threadDLB
-	threadCtl
-	threadFaults
-	threadChunk
-	threadLifecycle
-	threadScheduler
-	threadMessages
-	threadCollectives
-)
-
-var threadNames = [...]string{
-	threadDLB:         "dlb ownership",
-	threadCtl:         "ctl messages",
-	threadFaults:      "faults",
-	threadChunk:       "chunk server",
-	threadLifecycle:   "task lifecycle",
-	threadScheduler:   "scheduler",
-	threadMessages:    "messages",
-	threadCollectives: "collectives",
-}
-
-// trackKey identifies one metadata line. Process names use tid 0.
+// trackKey names one track's metadata line. tid < 0 marks a process:
+// name is "node", "apprank" or "metrics", rendered after the recorder's
+// label prefix with the node or apprank number the pid encodes.
+// Otherwise name is the thread's, "" standing for a "core <tid>" lane.
 type trackKey struct {
 	ri, pid, tid int
-	name         trackName
+	name         string
 }
 
-// appendLine renders k's metadata line; prefix is its recorder's label
-// prefix.
-func (k trackKey) appendLine(b []byte, prefix string) []byte {
-	b = append(b, `{"ph":"M","pid":`...)
-	b = strconv.AppendInt(b, int64(k.pid), 10)
-	b = append(b, `,"tid":`...)
-	b = strconv.AppendInt(b, int64(k.tid), 10)
-	pidBase := k.ri * pidStride
-	var name string
-	switch k.name {
-	case procNode:
-		name = prefix + "node" + strconv.Itoa(k.pid-pidBase)
-	case procApprank:
-		name = prefix + "apprank" + strconv.Itoa(k.pid-pidBase-chromeApprankPid)
-	case procMetrics:
-		name = prefix + "metrics"
-	case threadCore:
-		name = "core " + strconv.Itoa(k.tid)
-	default:
-		name = threadNames[k.name]
+// line renders k's metadata line; prefix is its recorder's label prefix.
+func (k trackKey) line(prefix string) string {
+	if k.tid >= 0 {
+		name := k.name
+		if name == "" {
+			name = "core " + strconv.Itoa(k.tid)
+		}
+		return fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`, k.pid, k.tid, strconv.Quote(name))
 	}
-	if k.name <= procMetrics {
-		b = append(b, `,"name":"process_name","args":{"name":`...)
-	} else {
-		b = append(b, `,"name":"thread_name","args":{"name":`...)
+	name := prefix + k.name
+	switch n := k.pid - k.ri*pidStride; k.name {
+	case "node":
+		name += strconv.Itoa(n)
+	case "apprank":
+		name += strconv.Itoa(n - chromeApprankPid)
 	}
-	b = strconv.AppendQuote(b, name)
-	return append(b, "}}"...)
+	return fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`, k.pid, strconv.Quote(name))
 }
 
 // Span-half flags, per message id or fault plan index.
@@ -227,13 +191,13 @@ func WriteChrome(w io.Writer, recs []*Recorder, labels []string) error {
 		xs = append(xs, x)
 	}
 	meta := make([]string, 0, len(tracks))
-	var line []byte
 	for k := range tracks {
-		line = k.appendLine(line[:0], prefixes[k.ri])
-		meta = append(meta, string(line))
+		meta = append(meta, k.line(prefixes[k.ri]))
 	}
 	sort.Strings(meta)
-	meta = slices.Compact(meta) // distinct keys may still render alike
+	// Recorders share a pid only past pidStride nodes, but then their
+	// keys can render alike; the trace names each track once.
+	meta = slices.Compact(meta)
 
 	c := &chromeEnc{w: w, b: make([]byte, 0, chromeBufSize+4<<10)}
 	c.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
@@ -252,14 +216,14 @@ func WriteChrome(w io.Writer, recs []*Recorder, labels []string) error {
 // scan is the first pass: it adds x's named tracks to tracks, marks
 // which span halves are retained and finds the last timestamp.
 func (x *chromeRec) scan(tracks map[trackKey]struct{}) {
-	node := func(node int32, tid int, name trackName) {
+	node := func(node int32, tid int, name string) {
 		pid := x.nodePid(node)
-		tracks[trackKey{x.ri, pid, 0, procNode}] = struct{}{}
+		tracks[trackKey{x.ri, pid, -1, "node"}] = struct{}{}
 		tracks[trackKey{x.ri, pid, tid, name}] = struct{}{}
 	}
-	rank := func(rank int32, tid int, name trackName) {
+	rank := func(rank int32, tid int, name string) {
 		pid := x.rankPid(rank)
-		tracks[trackKey{x.ri, pid, 0, procApprank}] = struct{}{}
+		tracks[trackKey{x.ri, pid, -1, "apprank"}] = struct{}{}
 		tracks[trackKey{x.ri, pid, tid, name}] = struct{}{}
 	}
 	lanes := laneTables{}
@@ -268,38 +232,38 @@ func (x *chromeRec) scan(tracks map[trackKey]struct{}) {
 		x.maxT = max(x.maxT, int64(e.T))
 		switch e.Kind {
 		case KindExecStart:
-			node(e.Node, lanes.of(e.Node).start(e), threadCore)
+			node(e.Node, lanes.of(e.Node).start(e), "")
 		case KindExecEnd:
 			lanes.of(e.Node).end(e)
 		case KindOwnSet, KindCoreBorrow, KindCoreReturn:
-			node(e.Node, chromeDlbTid, threadDLB)
+			node(e.Node, chromeDlbTid, "dlb ownership")
 		case KindTaskCreated, KindTaskReady, KindTaskScheduled:
-			rank(e.Apprank, 0, threadLifecycle)
+			rank(e.Apprank, 0, "task lifecycle")
 		case KindSchedDecision, KindReoffload:
-			rank(e.Apprank, 1, threadScheduler)
+			rank(e.Apprank, 1, "scheduler")
 		case KindMsgPost, KindMsgDeliver, KindMsgDrop:
-			rank(int32(e.B), 2, threadMessages)
+			rank(int32(e.B), 2, "messages")
 		case KindMsgMatch:
 			x.msgs[e.ID] |= spanClosed
 		case KindCtlMsg:
-			node(e.Node, chromeCtlTid, threadCtl)
+			node(e.Node, chromeCtlTid, "ctl messages")
 		case KindCollective:
-			rank(e.Apprank, 3, threadCollectives)
+			rank(e.Apprank, 3, "collectives")
 		case KindFaultInject, KindFaultRecover:
 			// Node-scoped faults land on the node's "faults" track;
 			// apprank-scoped ones (stall) on the apprank's.
 			if e.Node >= 0 {
-				node(e.Node, chromeFaultTid, threadFaults)
+				node(e.Node, chromeFaultTid, "faults")
 			} else {
-				rank(e.Apprank, 4, threadFaults)
+				rank(e.Apprank, 4, "faults")
 			}
 			if e.Kind == KindFaultRecover {
 				x.faults[e.ID] |= spanClosed
 			}
 		case KindChunkGrant:
-			node(e.Node, chromeChunkTid, threadChunk)
+			node(e.Node, chromeChunkTid, "chunk server")
 		case KindImbalance, KindPOPWindow:
-			tracks[trackKey{x.ri, x.pidBase + chromeCounterPid, 0, procMetrics}] = struct{}{}
+			tracks[trackKey{x.ri, x.pidBase + chromeCounterPid, -1, "metrics"}] = struct{}{}
 		}
 	}
 }
@@ -332,11 +296,17 @@ func (c *chromeEnc) line() {
 }
 
 func (c *chromeEnc) raw(s string)   { c.b = append(c.b, s...) }
-func (c *chromeEnc) int(v int64)    { c.b = strconv.AppendInt(c.b, v, 10) }
 func (c *chromeEnc) quote(s string) { c.b = strconv.AppendQuote(c.b, s) }
-func (c *chromeEnc) field(k string, v int64) {
-	c.raw(k)
-	c.int(v)
+
+// put appends tmpl with each '%' replaced by the next value in decimal.
+func (c *chromeEnc) put(tmpl string, vals ...int64) {
+	b := c.b
+	for _, v := range vals {
+		i := strings.IndexByte(tmpl, '%')
+		b = strconv.AppendInt(append(b, tmpl[:i]...), v, 10)
+		tmpl = tmpl[i+1:]
+	}
+	c.b = append(b, tmpl...)
 }
 
 // head starts a line with its phase, track and timestamp.
@@ -344,9 +314,7 @@ func (c *chromeEnc) head(ph string, pid, tid int, ns int64) {
 	c.line()
 	c.raw(`{"ph":"`)
 	c.raw(ph)
-	c.field(`","pid":`, int64(pid))
-	c.field(`,"tid":`, int64(tid))
-	c.raw(`,"ts":`)
+	c.put(`","pid":%,"tid":%,"ts":`, int64(pid), int64(tid))
 	c.b = appendTs(c.b, ns)
 }
 
@@ -356,28 +324,10 @@ func (c *chromeEnc) instant(pid, tid int, ns int64) {
 	c.raw(`,"s":"t","name":`)
 }
 
-// asyncID writes an async-span id, unique across the recorders sharing
-// the file.
-func (c *chromeEnc) asyncID(kind string, ri int, id int64) {
-	c.raw(`,"id":"`)
-	c.raw(kind)
-	c.int(int64(ri))
-	c.raw(".")
-	c.int(id)
-	c.raw(`"`)
-}
-
-// msgArgs writes a message's args object and closes the line.
-func (c *chromeEnc) msgArgs(e *Event) {
-	c.field(`,"cat":"msg","args":{"src":`, e.A)
-	c.field(`,"dst":`, e.B)
-	c.field(`,"tag":`, e.C)
-	c.field(`,"bytes":`, e.D)
-	c.raw("}}")
-}
-
-// writeRecorder is the second pass over one recorder.
+// writeRecorder is the second pass over one recorder. Async-span ids
+// carry the recorder index so they stay unique across the file.
 func (c *chromeEnc) writeRecorder(x *chromeRec) {
+	ri := int64(x.ri)
 	lanes := laneTables{}
 	for i, n := 0, x.r.retained(); i < n && c.err == nil; i++ {
 		e := x.r.at(i)
@@ -389,17 +339,11 @@ func (c *chromeEnc) writeRecorder(x *chromeRec) {
 			if e.Label != "" {
 				c.quote(e.Label)
 			} else {
-				c.field(`"task `, e.ID)
-				c.raw(`"`)
+				c.put(`"task %"`, e.ID)
 			}
-			c.field(`,"cat":"task","args":{"apprank":`, int64(e.Apprank))
-			c.field(`,"task":`, e.ID)
-			c.field(`,"worker":`, e.A)
-			if e.B != 0 {
-				c.raw(`,"borrowed":true}}`)
-			} else {
-				c.raw(`,"borrowed":false}}`)
-			}
+			c.put(`,"cat":"task","args":{"apprank":%,"task":%,"worker":%,"borrowed":`, int64(e.Apprank), e.ID, e.A)
+			c.raw(strconv.FormatBool(e.B != 0))
+			c.raw("}}")
 		case KindExecEnd:
 			tid, ok := lanes.of(e.Node).end(e)
 			if !ok {
@@ -409,55 +353,30 @@ func (c *chromeEnc) writeRecorder(x *chromeRec) {
 			c.raw("}")
 		case KindOwnSet:
 			c.instant(x.nodePid(e.Node), chromeDlbTid, t)
-			c.field(`"own core`, e.A)
-			c.field(`: `, e.B)
-			c.field(`->`, e.C)
-			c.field(`","cat":"dlb","args":{"apprank":`, int64(e.Apprank))
-			c.field(`,"worker":`, e.A)
-			c.field(`,"old_owned":`, e.B)
-			c.field(`,"new_owned":`, e.C)
-			c.raw("}}")
-		case KindCoreBorrow, KindCoreReturn:
+			c.put(`"own core%: %->%","cat":"dlb","args":{"apprank":%,"worker":%,"old_owned":%,"new_owned":%}}`,
+				e.A, e.B, e.C, int64(e.Apprank), e.A, e.B, e.C)
+		case KindCoreBorrow:
 			c.instant(x.nodePid(e.Node), chromeDlbTid, t)
-			if e.Kind == KindCoreBorrow {
-				c.field(`"borrow core`, e.A)
-			} else {
-				c.field(`"return core`, e.A)
-			}
-			c.field(`","cat":"dlb","args":{"apprank":`, int64(e.Apprank))
-			c.field(`,"worker":`, e.A)
-			c.field(`,"running":`, e.B)
-			c.raw("}}")
+			c.put(`"borrow core%","cat":"dlb","args":{"apprank":%,"worker":%,"running":%}}`, e.A, int64(e.Apprank), e.A, e.B)
+		case KindCoreReturn:
+			c.instant(x.nodePid(e.Node), chromeDlbTid, t)
+			c.put(`"return core%","cat":"dlb","args":{"apprank":%,"worker":%,"running":%}}`, e.A, int64(e.Apprank), e.A, e.B)
 		case KindTaskCreated:
 			c.instant(x.rankPid(e.Apprank), 0, t)
-			c.field(`"created `, e.ID)
-			c.field(`","cat":"lifecycle","args":{"task":`, e.ID)
-			c.field(`,"access_bytes":`, e.A)
-			c.raw("}}")
+			c.put(`"created %","cat":"lifecycle","args":{"task":%,"access_bytes":%}}`, e.ID, e.ID, e.A)
 		case KindTaskReady:
 			c.instant(x.rankPid(e.Apprank), 0, t)
-			c.field(`"ready `, e.ID)
-			c.field(`","cat":"lifecycle","args":{"task":`, e.ID)
-			c.raw("}}")
+			c.put(`"ready %","cat":"lifecycle","args":{"task":%}}`, e.ID, e.ID)
 		case KindTaskScheduled:
 			c.instant(x.rankPid(e.Apprank), 0, t)
-			c.field(`"scheduled `, e.ID)
-			c.field(` -> node`, int64(e.Node))
-			c.field(`","cat":"lifecycle","args":{"task":`, e.ID)
-			c.field(`,"node":`, int64(e.Node))
-			c.field(`,"moved_bytes":`, e.A)
-			c.field(`,"transfer_ns":`, e.B)
-			c.raw("}}")
+			c.put(`"scheduled % -> node%","cat":"lifecycle","args":{"task":%,"node":%,"moved_bytes":%,"transfer_ns":%}}`,
+				e.ID, int64(e.Node), e.ID, int64(e.Node), e.A, e.B)
 		case KindSchedDecision:
 			outcome := [...]string{"best", "alt", "queued"}[e.D]
 			c.instant(x.rankPid(e.Apprank), 1, t)
 			c.raw(`"sched `)
 			c.raw(outcome)
-			c.field(`","cat":"sched","args":{"task":`, e.ID)
-			c.field(`,"winner_node":`, e.A)
-			c.field(`,"candidates":`, e.B)
-			c.field(`,"local_bytes":`, e.C)
-			c.raw(`,"outcome":"`)
+			c.put(`","cat":"sched","args":{"task":%,"winner_node":%,"candidates":%,"local_bytes":%,"outcome":"`, e.ID, e.A, e.B, e.C)
 			c.raw(outcome)
 			c.raw(`"}}`)
 		case KindMsgPost:
@@ -465,53 +384,31 @@ func (c *chromeEnc) writeRecorder(x *chromeRec) {
 			if f := x.msgs[e.ID]; f&spanClosed != 0 {
 				x.msgs[e.ID] = f | spanOpened
 				c.head("b", pid, 2, t)
-				c.raw(`,"cat":"msg"`)
-				c.asyncID("", x.ri, e.ID)
-				c.field(`,"name":"msg tag`, e.C)
-				c.field(`","args":{"src":`, e.A)
-				c.field(`,"dst":`, e.B)
-				c.field(`,"tag":`, e.C)
-				c.field(`,"bytes":`, e.D)
-				c.raw("}}")
+				c.put(`,"cat":"msg","id":"%.%","name":"msg tag%","args":{"src":%,"dst":%,"tag":%,"bytes":%}}`,
+					ri, e.ID, e.C, e.A, e.B, e.C, e.D)
 			} else {
 				c.instant(pid, 2, t)
-				c.field(`"post tag`, e.C)
-				c.raw(`"`)
-				c.msgArgs(e)
+				c.put(`"post tag%","cat":"msg","args":{"src":%,"dst":%,"tag":%,"bytes":%}}`, e.C, e.A, e.B, e.C, e.D)
 			}
 		case KindMsgDeliver:
 			c.instant(x.rankPid(int32(e.B)), 2, t)
-			c.field(`"deliver tag`, e.C)
-			c.raw(`"`)
-			c.msgArgs(e)
+			c.put(`"deliver tag%","cat":"msg","args":{"src":%,"dst":%,"tag":%,"bytes":%}}`, e.C, e.A, e.B, e.C, e.D)
 		case KindMsgMatch:
 			if x.msgs[e.ID]&spanOpened == 0 {
 				continue // the post fell off the ring; no span to close
 			}
 			c.head("e", x.rankPid(int32(e.B)), 2, t)
-			c.raw(`,"cat":"msg"`)
-			c.asyncID("", x.ri, e.ID)
-			c.field(`,"args":{"queue_wait_ns":`, e.C)
-			c.field(`,"inflight_ns":`, e.D)
-			c.raw("}}")
+			c.put(`,"cat":"msg","id":"%.%","args":{"queue_wait_ns":%,"inflight_ns":%}}`, ri, e.ID, e.C, e.D)
 		case KindCtlMsg:
 			c.instant(x.nodePid(e.Node), chromeCtlTid, t)
-			c.field(`"ctl","cat":"msg","args":{"from_node":`, e.A)
-			c.field(`,"to_node":`, e.B)
-			c.field(`,"bytes":`, e.C)
-			c.raw("}}")
+			c.put(`"ctl","cat":"msg","args":{"from_node":%,"to_node":%,"bytes":%}}`, e.A, e.B, e.C)
 		case KindCollective:
-			c.line()
-			c.field(`{"ph":"X","pid":`, int64(x.rankPid(e.Apprank)))
-			c.raw(`,"tid":3,"ts":`)
-			c.b = appendTs(c.b, e.A)
+			c.head("X", x.rankPid(e.Apprank), 3, e.A)
 			c.raw(`,"dur":`)
 			c.b = appendTs(c.b, max(t-e.A, 0))
 			c.raw(`,"name":`)
 			c.quote(e.Label)
-			c.field(`,"cat":"coll","args":{"bytes":`, e.B)
-			c.field(`,"ranks":`, e.C)
-			c.raw("}}")
+			c.put(`,"cat":"coll","args":{"bytes":%,"ranks":%}}`, e.B, e.C)
 		case KindFaultInject, KindFaultRecover:
 			pid, tid := x.nodePid(e.Node), chromeFaultTid
 			if e.Node < 0 {
@@ -523,17 +420,13 @@ func (c *chromeEnc) writeRecorder(x *chromeRec) {
 					continue // the inject fell off the ring; no span to close
 				}
 				c.head("e", pid, tid, t)
-				c.raw(`,"cat":"fault"`)
-				c.asyncID("f", x.ri, e.ID)
-				c.raw(`,"args":{}}`)
+				c.put(`,"cat":"fault","id":"f%.%","args":{}}`, ri, e.ID)
 				continue
 			}
 			if f&spanClosed != 0 {
 				x.faults[e.ID] = f | spanOpened
 				c.head("b", pid, tid, t)
-				c.raw(`,"cat":"fault"`)
-				c.asyncID("f", x.ri, e.ID)
-				c.raw(`,"name":`)
+				c.put(`,"cat":"fault","id":"f%.%","name":`, ri, e.ID)
 				c.quote("fault " + e.Label)
 			} else {
 				c.instant(pid, tid, t)
@@ -542,34 +435,18 @@ func (c *chromeEnc) writeRecorder(x *chromeRec) {
 			}
 			c.raw(`,"args":{"kind":`)
 			c.quote(e.Label)
-			c.field(`,"plan_event":`, e.ID)
-			c.field(`,"until_ns":`, e.A)
-			c.field(`,"b":`, e.B)
-			c.field(`,"c":`, e.C)
-			c.raw("}}")
+			c.put(`,"plan_event":%,"until_ns":%,"b":%,"c":%}}`, e.ID, e.A, e.B, e.C)
 		case KindReoffload:
 			c.instant(x.rankPid(e.Apprank), 1, t)
-			c.field(`"reoffload `, e.ID)
-			c.field(`","cat":"sched","args":{"task":`, e.ID)
-			c.field(`,"old_node":`, e.A)
-			c.field(`,"new_node":`, int64(e.Node))
-			c.field(`,"attempt":`, e.B)
-			c.field(`,"local":`, e.C)
-			c.raw("}}")
+			c.put(`"reoffload %","cat":"sched","args":{"task":%,"old_node":%,"new_node":%,"attempt":%,"local":%}}`,
+				e.ID, e.ID, e.A, int64(e.Node), e.B, e.C)
 		case KindMsgDrop:
 			c.instant(x.rankPid(int32(e.B)), 2, t)
-			c.field(`"drop","cat":"msg","args":{"src":`, e.A)
-			c.field(`,"dst":`, e.B)
-			c.field(`,"attempt":`, e.C)
-			c.raw("}}")
+			c.put(`"drop","cat":"msg","args":{"src":%,"dst":%,"attempt":%}}`, e.A, e.B, e.C)
 		case KindChunkGrant:
 			c.instant(x.nodePid(e.Node), chromeChunkTid, t)
-			c.field(`"chunk `, e.B)
-			c.field(`","cat":"sched","args":{"apprank":`, int64(e.Apprank))
-			c.field(`,"worker":`, e.A)
-			c.field(`,"tasks":`, e.B)
-			c.field(`,"remaining":`, e.C)
-			c.raw("}}")
+			c.put(`"chunk %","cat":"sched","args":{"apprank":%,"worker":%,"tasks":%,"remaining":%}}`,
+				e.B, int64(e.Apprank), e.A, e.B, e.C)
 		case KindImbalance:
 			c.head("C", x.pidBase+chromeCounterPid, 0, t)
 			c.raw(`,"name":"imbalance","args":{"imbalance":`)
@@ -581,8 +458,7 @@ func (c *chromeEnc) writeRecorder(x *chromeRec) {
 			// time-ordered within its own track; the events are stamped
 			// with their window start, not the end-of-run emit time).
 			c.head("C", x.pidBase+chromeCounterPid, 1+int(e.Node), t)
-			c.field(`,"name":"PE node`, int64(e.Node))
-			c.raw(`","args":{"pe":`)
+			c.put(`,"name":"PE node%","args":{"pe":`, int64(e.Node))
 			c.b = appendG(c.b, e.POPValue())
 			c.raw("}}")
 		}
