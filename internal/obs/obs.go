@@ -138,7 +138,7 @@ type Recorder struct {
 	next    int       // ring slot the next event is written to
 	dropped uint64    // events overwritten after the ring wrapped
 	taps    []func(*Event)
-	tapped  Event           // the event being passed to taps
+	scratch Event           // the event taps see when no ring retains it
 	workers map[int64]int32 // node<<32|worker -> apprank, for dlb emits
 	counts  [numKinds]uint64
 }
@@ -166,8 +166,8 @@ func (r *Recorder) BindClock(now func() simtime.Time) {
 }
 
 // AddTap registers fn to be called synchronously for every event, in
-// registration order, before the event is retained. The *Event is only
-// valid for the duration of the call.
+// registration order. The *Event is only valid for the duration of the
+// call.
 func (r *Recorder) AddTap(fn func(*Event)) {
 	if r == nil {
 		return
@@ -210,23 +210,26 @@ func (r *Recorder) emit(e Event) {
 // events carry their window times rather than the end-of-run clock.
 func (r *Recorder) emitStamped(e Event) {
 	r.counts[e.Kind]++
-	if len(r.taps) > 0 {
-		// Taps see the recorder's own copy: handing them &e would move
-		// every event to the heap.
-		r.tapped = e
-		for _, tap := range r.taps {
-			tap(&r.tapped)
-		}
-		e = r.tapped
+	// Taps see the event in place, in its ring slot or, with no ring, in
+	// the recorder's scratch copy: handing them &e would move every
+	// event to the heap.
+	p := &r.scratch
+	if r.cap > 0 {
+		p = r.push()
 	}
-	if r.cap == 0 {
-		return
+	*p = e
+	for _, tap := range r.taps {
+		tap(p)
 	}
+}
+
+// push claims the ring slot for a new event, overwriting the oldest
+// once the ring is full.
+func (r *Recorder) push() *Event {
 	i := r.next
-	if c := i >> chunkShift; c == len(r.chunks) {
+	if i>>chunkShift == len(r.chunks) {
 		r.chunks = append(r.chunks, make([]Event, min(chunkSize, r.cap-i)))
 	}
-	r.chunks[i>>chunkShift][i&chunkMask] = e
 	if r.next++; r.next == r.cap {
 		r.next = 0
 	}
@@ -235,6 +238,7 @@ func (r *Recorder) emitStamped(e Event) {
 	} else {
 		r.dropped++
 	}
+	return &r.chunks[i>>chunkShift][i&chunkMask]
 }
 
 // retained reports how many events the ring holds.
