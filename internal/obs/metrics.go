@@ -44,8 +44,7 @@ func newMetrics() *Metrics {
 // BuildMetrics replays r's retained events into a fresh registry in one
 // pass over the ring, in place. Events dropped from the ring are
 // reported in the events_dropped counter; lifecycle pairs whose opening
-// half was dropped are skipped. A counter appears only once an event
-// that feeds it has been replayed.
+// half was dropped are skipped.
 func BuildMetrics(r *Recorder) *Metrics {
 	m := newMetrics()
 	if r == nil {
@@ -57,13 +56,8 @@ func BuildMetrics(r *Recorder) *Metrics {
 	}
 	readyAt := make(map[taskKey]int64)
 	startAt := make(map[taskKey]int64)
-	var (
-		kinds                                                [numKinds]uint64
-		transferBytes, msgBytes, ctlBytes, chunkTasks        uint64
-		best, alt, queued, borrowedExecs, ownChanges, locals uint64
-		last                                                 simtime.Time
-		imbalance                                            float64
-	)
+	var kinds [numKinds]uint64
+	var last simtime.Time
 	hTransfer := m.Histograms["transfer_bytes"]
 	hCandidates := m.Histograms["sched_candidates"]
 	hReadyWait := m.Histograms["task_ready_wait_seconds"]
@@ -82,7 +76,7 @@ func BuildMetrics(r *Recorder) *Metrics {
 		case KindTaskReady:
 			readyAt[taskKey{e.Apprank, e.ID}] = int64(e.T)
 		case KindTaskScheduled:
-			transferBytes += uint64(e.A)
+			m.Counters["transfer_bytes_total"] += uint64(e.A)
 			if e.A > 0 {
 				hTransfer.Observe(float64(e.A))
 			}
@@ -90,11 +84,11 @@ func BuildMetrics(r *Recorder) *Metrics {
 			hCandidates.Observe(float64(e.B))
 			switch e.D {
 			case SchedBest:
-				best++
+				m.Counters["sched_locality_best"]++
 			case SchedAlt:
-				alt++
+				m.Counters["sched_locality_alt"]++
 			case SchedQueued:
-				queued++
+				m.Counters["sched_queued"]++
 			}
 		case KindExecStart:
 			k := taskKey{e.Apprank, e.ID}
@@ -104,7 +98,7 @@ func BuildMetrics(r *Recorder) *Metrics {
 				delete(readyAt, k)
 			}
 			if e.B != 0 {
-				borrowedExecs++
+				m.Counters["exec_on_borrowed_core"]++
 			}
 		case KindExecEnd:
 			k := taskKey{e.Apprank, e.ID}
@@ -113,7 +107,7 @@ func BuildMetrics(r *Recorder) *Metrics {
 				delete(startAt, k)
 			}
 		case KindMsgPost:
-			msgBytes += uint64(e.D)
+			m.Counters["msg_bytes_total"] += uint64(e.D)
 			if e.D > 0 {
 				hMsgBytes.Observe(float64(e.D))
 			}
@@ -121,57 +115,42 @@ func BuildMetrics(r *Recorder) *Metrics {
 			hQueueWait.Observe(float64(e.C) / 1e9)
 			hInflight.Observe(float64(e.D) / 1e9)
 		case KindCtlMsg:
-			ctlBytes += uint64(e.C)
+			m.Counters["ctl_bytes_total"] += uint64(e.C)
 		case KindCollective:
 			hCollective.Observe(float64(int64(e.T)-e.A) / 1e9)
 		case KindOwnSet:
 			if e.B != e.C {
-				ownChanges++
+				m.Counters["ownership_changes"]++
 			}
+		case KindCoreBorrow:
+			m.Counters["core_borrows"]++
+		case KindCoreReturn:
+			m.Counters["core_returns"]++
+		case KindFaultInject:
+			m.Counters["faults_injected"]++
+		case KindFaultRecover:
+			m.Counters["faults_recovered"]++
 		case KindReoffload:
+			m.Counters["reoffloads"]++
 			if e.C != 0 {
-				locals++
+				m.Counters["reoffload_local_fallbacks"]++
 			}
+		case KindMsgDrop:
+			m.Counters["msg_drops"]++
 		case KindChunkGrant:
-			chunkTasks += uint64(e.B)
+			m.Counters["chunk_grants"]++
+			m.Counters["chunk_tasks_granted"] += uint64(e.B)
 			hChunk.Observe(float64(e.B))
 		case KindImbalance:
-			imbalance = e.ImbalanceValue()
-			hImbalance.Observe(imbalance)
+			v := e.ImbalanceValue()
+			hImbalance.Observe(v)
+			m.Gauges["imbalance_last"] = v
 		}
 	}
 	for k, n := range kinds {
 		if n > 0 {
 			m.Counters["events_"+Kind(k).String()] = n
 		}
-	}
-	put := func(name string, v uint64, present bool) {
-		if present {
-			m.Counters[name] = v
-		}
-	}
-	count := func(name string, v uint64) { put(name, v, v > 0) }
-	// Totals appear with their first feeding event, even when they sum
-	// to zero; counts appear once nonzero.
-	put("transfer_bytes_total", transferBytes, kinds[KindTaskScheduled] > 0)
-	put("msg_bytes_total", msgBytes, kinds[KindMsgPost] > 0)
-	put("ctl_bytes_total", ctlBytes, kinds[KindCtlMsg] > 0)
-	put("chunk_tasks_granted", chunkTasks, kinds[KindChunkGrant] > 0)
-	count("sched_locality_best", best)
-	count("sched_locality_alt", alt)
-	count("sched_queued", queued)
-	count("exec_on_borrowed_core", borrowedExecs)
-	count("ownership_changes", ownChanges)
-	count("core_borrows", kinds[KindCoreBorrow])
-	count("core_returns", kinds[KindCoreReturn])
-	count("faults_injected", kinds[KindFaultInject])
-	count("faults_recovered", kinds[KindFaultRecover])
-	count("reoffloads", kinds[KindReoffload])
-	count("reoffload_local_fallbacks", locals)
-	count("msg_drops", kinds[KindMsgDrop])
-	count("chunk_grants", kinds[KindChunkGrant])
-	if kinds[KindImbalance] > 0 {
-		m.Gauges["imbalance_last"] = imbalance
 	}
 	m.Counters["events_dropped"] = r.Dropped()
 	m.Gauges["trace_end_seconds"] = last.Seconds()
