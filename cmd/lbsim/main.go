@@ -13,9 +13,6 @@
 //	lbsim -exp policies -scale quick -format csv
 //	lbsim -exp fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	lbsim -exp fig8 -enginestats -enginejson engine.json
-//	lbsim -exp fig8 -engine goroutine   (legacy closure paths, for A/B)
-//	lbsim -exp fig8 -engine parallel -simworkers 4
-//	lbsim -all -scale quick -simjson sim.json
 //	lbsim -exp fig9 -scale quick -trace fig9.json -metricsjson fig9_metrics.json
 //	lbsim -exp fig8 -pop                  (POP efficiency: PE = LB x CommE)
 //	lbsim -exp efficiency -popjson pop.json
@@ -54,25 +51,14 @@ func main() {
 // records; the live heap between runs is tiny. The default GOGC=100
 // therefore collects far too eagerly — GC accounts for over 15% of a
 // large sweep's wall clock — so this batch CLI trades memory for fewer
-// cycles with GOGC=400. Under -engine parallel every host worker
-// allocates concurrently against the same heap goal, so the target
-// scales down with the worker count to keep peak RSS roughly flat,
-// never below the Go default of 100. An explicit GOGC in the
-// environment always wins: ok is false and the runtime is left
-// untouched. Results are unaffected either way — GC timing never feeds
-// back into the simulation.
-func gcPercent(gogcEnv string, simWorkers int) (percent int, ok bool) {
+// cycles with GOGC=400. An explicit GOGC in the environment always wins:
+// ok is false and the runtime is left untouched. Results are unaffected
+// either way — GC timing never feeds back into the simulation.
+func gcPercent(gogcEnv string) (percent int, ok bool) {
 	if gogcEnv != "" {
 		return 0, false
 	}
-	percent = 400
-	if simWorkers > 1 {
-		percent = 400 / simWorkers
-		if percent < 100 {
-			percent = 100
-		}
-	}
-	return percent, true
+	return 400, true
 }
 
 // run is main with its dependencies injected: flags are parsed from
@@ -84,24 +70,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lbsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp        = fs.String("exp", "", "experiment id (see -list)")
-		all        = fs.Bool("all", false, "run every experiment")
-		list       = fs.Bool("list", false, "list experiment ids")
-		scale      = fs.String("scale", "default", "scale: quick, default, or paper")
-		format     = fs.String("format", "table", "output format: table, csv, or markdown")
-		talp       = fs.Bool("talp", false, "print a TALP efficiency report for a MicroPP run")
-		outDir     = fs.String("out", "", "also write each result as CSV into this directory")
-		parallel   = fs.Int("parallel", runtime.NumCPU(), "concurrent simulator runs per sweep (1 = sequential; output is identical at any setting)")
-		faultPlan  = fs.String("faults", "", "run the synthetic workload under this fault plan (JSON file or preset; see faults presets: "+strings.Join(faults.PresetNames(), ", ")+")")
-		policy     = fs.String("policy", "", "run the synthetic workload under this self-scheduling policy vs the lewi+global baseline ("+strings.Join(balance.SelfSchedNames(), ", ")+"); combine with -faults to run both under a plan")
-		engine     = fs.String("engine", "continuation", "simulation engine: continuation (sequential, pooled records), goroutine (sequential, legacy closures), or parallel (per-node partitions on host workers; see -simworkers); results are byte-identical across engines, the flag exists for A/B benchmarking")
-		simWorkers = fs.Int("simworkers", 0, "host workers for -engine parallel (0 = GOMAXPROCS; capped at the machine's node count)")
+		exp       = fs.String("exp", "", "experiment id (see -list)")
+		all       = fs.Bool("all", false, "run every experiment")
+		list      = fs.Bool("list", false, "list experiment ids")
+		scale     = fs.String("scale", "default", "scale: quick, default, or paper")
+		format    = fs.String("format", "table", "output format: table, csv, or markdown")
+		talp      = fs.Bool("talp", false, "print a TALP efficiency report for a MicroPP run")
+		outDir    = fs.String("out", "", "also write each result as CSV into this directory")
+		parallel  = fs.Int("parallel", runtime.NumCPU(), "concurrent simulator runs per sweep (1 = sequential; output is identical at any setting)")
+		faultPlan = fs.String("faults", "", "run the synthetic workload under this fault plan (JSON file or preset; see faults presets: "+strings.Join(faults.PresetNames(), ", ")+")")
+		policy    = fs.String("policy", "", "run the synthetic workload under this self-scheduling policy vs the lewi+global baseline ("+strings.Join(balance.SelfSchedNames(), ", ")+"); combine with -faults to run both under a plan")
 
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		engineStats = fs.Bool("enginestats", false, "print per-experiment event-engine stats to stderr")
 		engineJSON  = fs.String("enginejson", "", "write aggregate event-engine stats as JSON to this file")
-		simJSON     = fs.String("simjson", "", "write per-experiment wall-clock timings as JSON to this file")
 		traceOut    = fs.String("trace", "", "run the traced variant of -exp and write a Chrome/Perfetto trace JSON to this file")
 		metricsOut  = fs.String("metricsjson", "", "with the traced variant of -exp, write the aggregated metrics registry as JSON to this file")
 		popOut      = fs.Bool("pop", false, "run representative configurations of -exp with full TALP accounting and print their POP efficiency reports (PE = LB x CommE)")
@@ -116,14 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	gcWorkers := 0
-	if *engine == "parallel" {
-		gcWorkers = *simWorkers
-		if gcWorkers == 0 {
-			gcWorkers = runtime.GOMAXPROCS(0)
-		}
-	}
-	if p, ok := gcPercent(os.Getenv("GOGC"), gcWorkers); ok {
+	if p, ok := gcPercent(os.Getenv("GOGC")); ok {
 		debug.SetGCPercent(p)
 	}
 
@@ -170,22 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	sc.Parallel = *parallel
-	switch *engine {
-	case "continuation":
-	case "goroutine":
-		sc.GoroutineEngine = true
-	case "parallel":
-		sc.SimParallel = true
-		sc.SimWorkers = *simWorkers
-	default:
-		return fail(fmt.Errorf("unknown engine %q (valid engines: continuation, goroutine, parallel)", *engine))
-	}
-	if *simWorkers != 0 && *engine != "parallel" {
-		return fail(fmt.Errorf("-simworkers only applies to -engine parallel (got -engine %s)", *engine))
-	}
-	if *simWorkers < 0 {
-		return fail(fmt.Errorf("-simworkers must be >= 0 (0 = GOMAXPROCS), got %d", *simWorkers))
-	}
 	// One graph store, one trajectory store and one engine-stats
 	// collector for the whole invocation: sweeps (and with -all,
 	// experiments) that reuse a layout generate its helper graph once,
@@ -292,7 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	report := &engineReport{Scale: *scale, Parallel: *parallel, Engine: *engine, SimWorkers: *simWorkers}
+	report := &engineReport{Scale: *scale, Parallel: *parallel}
 	runOne := func(id string) error {
 		before := sc.Engine.Totals()
 		start := time.Now()
@@ -309,11 +269,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				humanCount(uint64(d.EventsPerSec())),
 				humanCount(d.Parks), humanCount(d.Wakes), d.PeakGoroutines,
 				d.RegistryHiWater, wall.Round(time.Millisecond))
-			if d.Partitions > 0 || d.Fallbacks > 0 {
-				fmt.Fprintf(stderr, "lbsim: %s: parallel engine: %d partitions, %s windows (%s barrier-stalled), %s inbox events, %d sequential fallbacks\n",
-					id, d.Partitions, humanCount(d.Windows), humanCount(d.BarrierStalls),
-					humanCount(d.InboxEvents), d.Fallbacks)
-			}
 		}
 		return emit(r)
 	}
@@ -332,21 +287,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *engineStats {
-		for _, p := range sc.Engine.PartitionTotals() {
-			fmt.Fprintf(stderr, "lbsim: partition %d: %v busy, %v barrier-wait host time, %s windows (%s horizon-stalled), %s outbox events staged, peak outbox %d\n",
-				p.Partition, p.Busy.Round(time.Millisecond), p.BarrierWait.Round(time.Millisecond),
-				humanCount(p.Windows), humanCount(p.StallWindows),
-				humanCount(p.OutboxStaged), p.MaxOutbox)
-		}
-	}
 	if *engineJSON != "" {
-		if err := report.write(*engineJSON, sc.Engine.Totals(), sc.Engine.PartitionTotals()); err != nil {
-			return fail(err)
-		}
-	}
-	if *simJSON != "" {
-		if err := report.writeSim(*simJSON); err != nil {
+		if err := report.write(*engineJSON, sc.Engine.Totals()); err != nil {
 			return fail(err)
 		}
 	}
@@ -358,141 +300,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 type engineReport struct {
 	Scale       string             `json:"scale"`
 	Parallel    int                `json:"parallel"`
-	Engine      string             `json:"engine"`
-	SimWorkers  int                `json:"simworkers,omitempty"`
 	Experiments []experimentReport `json:"experiments"`
 }
 
 type experimentReport struct {
-	ID            string  `json:"id"`
-	Runs          uint64  `json:"runs"`
-	Events        uint64  `json:"events"`
-	FastPath      uint64  `json:"fast_path_events"`
-	HeapPushes    uint64  `json:"heap_pushes"`
-	Parks         uint64  `json:"parks"`
-	Wakes         uint64  `json:"wakes"`
-	PeakGoro      uint64  `json:"peak_goroutines"`
-	RegHiWater    uint64  `json:"registry_hiwater"`
-	Partitions    uint64  `json:"partitions,omitempty"`
-	Windows       uint64  `json:"windows,omitempty"`
-	BarrierStalls uint64  `json:"barrier_stalls,omitempty"`
-	InboxEvents   uint64  `json:"inbox_events,omitempty"`
-	Fallbacks     uint64  `json:"fallbacks,omitempty"`
-	HostSeconds   float64 `json:"run_host_seconds"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	EventsPerSec  float64 `json:"events_per_sec"`
+	ID           string  `json:"id"`
+	Runs         uint64  `json:"runs"`
+	Events       uint64  `json:"events"`
+	FastPath     uint64  `json:"fast_path_events"`
+	HeapPushes   uint64  `json:"heap_pushes"`
+	Parks        uint64  `json:"parks"`
+	Wakes        uint64  `json:"wakes"`
+	PeakGoro     uint64  `json:"peak_goroutines"`
+	RegHiWater   uint64  `json:"registry_hiwater"`
+	HostSeconds  float64 `json:"run_host_seconds"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	EventsPerSec float64 `json:"events_per_sec"`
 }
 
 func (er *engineReport) add(id string, e experiments.EngineStats, d simtime.RunTotals, wall time.Duration) {
 	er.Experiments = append(er.Experiments, experimentReport{
-		ID:            id,
-		Runs:          e.Runs,
-		Events:        e.Events,
-		FastPath:      e.FastPath,
-		HeapPushes:    e.HeapPushes,
-		Parks:         e.Parks,
-		Wakes:         e.Wakes,
-		PeakGoro:      e.PeakGoroutines,
-		RegHiWater:    e.RegistryHiWater,
-		Partitions:    e.Partitions,
-		Windows:       e.Windows,
-		BarrierStalls: e.BarrierStalls,
-		InboxEvents:   e.InboxEvents,
-		Fallbacks:     e.Fallbacks,
-		HostSeconds:   d.Host.Seconds(),
-		WallSeconds:   wall.Seconds(),
-		EventsPerSec:  d.EventsPerSec(),
+		ID:           id,
+		Runs:         e.Runs,
+		Events:       e.Events,
+		FastPath:     e.FastPath,
+		HeapPushes:   e.HeapPushes,
+		Parks:        e.Parks,
+		Wakes:        e.Wakes,
+		PeakGoro:     e.PeakGoroutines,
+		RegHiWater:   e.RegistryHiWater,
+		HostSeconds:  d.Host.Seconds(),
+		WallSeconds:  wall.Seconds(),
+		EventsPerSec: d.EventsPerSec(),
 	})
 }
 
-// partitionReport is one parallel-engine partition's host-side profile in
-// the -enginejson file. Busy and barrier-wait are host wall-clock (and so
-// vary run to run); the window and outbox counters are deterministic.
-type partitionReport struct {
-	Partition          int     `json:"partition"`
-	BusySeconds        float64 `json:"busy_seconds"`
-	BarrierWaitSeconds float64 `json:"barrier_wait_seconds"`
-	Windows            uint64  `json:"windows"`
-	StallWindows       uint64  `json:"stall_windows"`
-	OutboxStaged       uint64  `json:"outbox_staged"`
-	MaxOutbox          uint64  `json:"max_outbox"`
-}
-
-func (er *engineReport) write(path string, total simtime.RunTotals, parts []simtime.PartitionStats) error {
+func (er *engineReport) write(path string, total simtime.RunTotals) error {
 	out := struct {
 		*engineReport
-		Partitions []partitionReport `json:"partition_profile,omitempty"`
-		Total      experimentReport  `json:"total"`
+		Total experimentReport `json:"total"`
 	}{engineReport: er, Total: experimentReport{
-		ID:            "total",
-		Runs:          total.Runs,
-		Events:        total.Events,
-		FastPath:      total.FastPath,
-		HeapPushes:    total.HeapPushes,
-		Parks:         total.Parks,
-		Wakes:         total.Wakes,
-		PeakGoro:      total.PeakGoroutines,
-		RegHiWater:    total.RegistryHiWater,
-		Partitions:    total.Partitions,
-		Windows:       total.Windows,
-		BarrierStalls: total.BarrierStalls,
-		InboxEvents:   total.InboxEvents,
-		Fallbacks:     total.Fallbacks,
-		HostSeconds:   total.Host.Seconds(),
-		EventsPerSec:  total.EventsPerSec(),
+		ID:           "total",
+		Runs:         total.Runs,
+		Events:       total.Events,
+		FastPath:     total.FastPath,
+		HeapPushes:   total.HeapPushes,
+		Parks:        total.Parks,
+		Wakes:        total.Wakes,
+		PeakGoro:     total.PeakGoroutines,
+		RegHiWater:   total.RegistryHiWater,
+		HostSeconds:  total.Host.Seconds(),
+		EventsPerSec: total.EventsPerSec(),
 	}}
-	for _, p := range parts {
-		out.Partitions = append(out.Partitions, partitionReport{
-			Partition:          p.Partition,
-			BusySeconds:        p.Busy.Seconds(),
-			BarrierWaitSeconds: p.BarrierWait.Seconds(),
-			Windows:            p.Windows,
-			StallWindows:       p.StallWindows,
-			OutboxStaged:       p.OutboxStaged,
-			MaxOutbox:          p.MaxOutbox,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeSim writes the per-experiment wall-clock summary: per-figure
-// simulator wall time alongside the engine counters.
-func (er *engineReport) writeSim(path string) error {
-	type simFigure struct {
-		ID            string  `json:"id"`
-		Runs          uint64  `json:"runs"`
-		WallSeconds   float64 `json:"wall_seconds"`
-		Parks         uint64  `json:"parks"`
-		Wakes         uint64  `json:"wakes"`
-		PeakGoro      uint64  `json:"peak_goroutines"`
-		Partitions    uint64  `json:"partitions,omitempty"`
-		Windows       uint64  `json:"windows,omitempty"`
-		BarrierStalls uint64  `json:"barrier_stalls,omitempty"`
-		InboxEvents   uint64  `json:"inbox_events,omitempty"`
-		Fallbacks     uint64  `json:"fallbacks,omitempty"`
-	}
-	out := struct {
-		Scale            string      `json:"scale"`
-		Parallel         int         `json:"parallel"`
-		Engine           string      `json:"engine"`
-		SimWorkers       int         `json:"simworkers,omitempty"`
-		TotalWallSeconds float64     `json:"total_wall_seconds"`
-		Figures          []simFigure `json:"figures"`
-	}{Scale: er.Scale, Parallel: er.Parallel, Engine: er.Engine, SimWorkers: er.SimWorkers}
-	for _, e := range er.Experiments {
-		out.Figures = append(out.Figures, simFigure{
-			ID: e.ID, Runs: e.Runs, WallSeconds: e.WallSeconds,
-			Parks: e.Parks, Wakes: e.Wakes, PeakGoro: e.PeakGoro,
-			Partitions: e.Partitions, Windows: e.Windows,
-			BarrierStalls: e.BarrierStalls, InboxEvents: e.InboxEvents,
-			Fallbacks: e.Fallbacks,
-		})
-		out.TotalWallSeconds += e.WallSeconds
-	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
@@ -550,7 +409,7 @@ func writeTraces(id string, sc experiments.Scale, tracePath, metricsPath string)
 // TALP accounting and emits their POP efficiency reports: human-readable
 // tables on stdout with -pop, and/or one deterministic JSON document with
 // -popjson (the per-report rendering is dlb's hand-rolled writer, so the
-// bytes are identical across engines and -simworkers counts).
+// bytes are deterministic).
 func writePOP(id string, sc experiments.Scale, print bool, jsonPath string, stdout io.Writer) error {
 	bundles, err := experiments.POPReports(id, sc)
 	if err != nil {

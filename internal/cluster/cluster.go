@@ -66,13 +66,9 @@ func (m NetModel) TransferTime(a, b int, size int64) simtime.Duration {
 // two distinct nodes: the base latency, plus — when the topology model
 // is on — the per-hop cost of the closest cross-node distance (one tree
 // level up and one down, since two distinct nodes are at least one level
-// apart). This lower-bounds every cross-node message, so it is the
-// lookahead available to a conservative parallel simulation partitioned
-// by node. Collective completions are modelled per hop as Latency +
-// size/bandwidth without the TreeRadix surcharge (see simmpi.hopCost),
-// so the parallel engine clamps its lookahead to min(MinRemoteLatency,
-// Latency); a zero result means no lookahead exists and the caller must
-// fall back to sequential execution.
+// apart). This lower-bounds every cross-node message. Collective
+// completions are modelled per hop as Latency + size/bandwidth without
+// the TreeRadix surcharge (see simmpi.hopCost).
 func (m NetModel) MinRemoteLatency() simtime.Duration {
 	d := m.Latency
 	if m.TreeRadix > 1 && m.HopLatency > 0 {

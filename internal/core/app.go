@@ -44,9 +44,7 @@ func (app *App) NumRanks() int { return len(app.rt.apps[app.apprank.appIdx].rank
 // must not communicate), consistent with §4.
 func (app *App) Comm() *simmpi.Comm { return app.comm }
 
-// Now returns the current virtual time as seen by this apprank (its
-// home partition's clock under the parallel engine; the single global
-// clock otherwise).
+// Now returns the current virtual time.
 func (app *App) Now() simtime.Time { return app.apprank.env.Now() }
 
 // HomeNode returns the node the apprank is homed on.

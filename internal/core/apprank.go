@@ -20,13 +20,10 @@ type Apprank struct {
 	localRank int // rank within the owning application
 	appIdx    int // owning application index
 	home      int
-	// env is the event environment the apprank's activity (its rank
-	// process, graph callbacks, chunk pump) runs on: the runtime's single
-	// environment on the sequential engines, or the home node's partition
-	// under the parallel engine.
+	// env is the runtime's event environment, which the apprank's rank
+	// process, graph callbacks and chunk pump schedule on.
 	env          *simtime.Env
 	finishedAt   simtime.Time // when this rank's main (or abort) completed
-	chunkGrants  int64        // per-apprank so partition threads never share a counter
 	workers      []*Worker    // workers[0] is the home worker
 	graph        *nanos.TaskGraph
 	queue        taskFIFO      // centrally held ready tasks (§5.5)
@@ -239,13 +236,6 @@ func (a *Apprank) assign(w *Worker, t *nanos.Task, loc nanos.LocVec) {
 	w.inflight++
 	if rt.flt != nil {
 		a.dispatchOffload(w, t, simtimeDuration(ctl+dataDelay))
-		return
-	}
-	if rt.cfg.GoroutineEngine {
-		w.ns.after(simtimeDuration(ctl+dataDelay), func() {
-			w.inflight--
-			w.enqueue(t)
-		})
 		return
 	}
 	w.ns.after(simtimeDuration(ctl+dataDelay), w.ns.getStage(w, t).fn)

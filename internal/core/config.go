@@ -194,29 +194,6 @@ type Config struct {
 	// be fixed).
 	SelfSched balance.SelfSched
 
-	// GoroutineEngine forces the legacy per-task closure paths in the
-	// runtime hot path instead of the pooled continuation records
-	// (continuations.go). Both engines produce byte-identical schedules
-	// and results; the flag exists for the engine differential test and
-	// for A/B benchmarking. Default false: continuation records.
-	GoroutineEngine bool
-
-	// SimParallel requests the conservative parallel event engine: the
-	// simulation is partitioned per simulated node, partitions run
-	// concurrently up to the link-latency lookahead horizon, and events
-	// with no single-node home (policy ticks, fault edges) run as global
-	// barrier events. Results are byte-identical to the sequential
-	// engines. Configurations the partitioned engine cannot honor —
-	// degree > 1, observability, dynamic spreading, link-fault plans,
-	// single-node machines, or a zero-lookahead network — silently fall
-	// back to sequential execution and record the reason with
-	// EngineStats.RecordFallback.
-	SimParallel bool
-	// SimWorkers caps the worker threads driving partitions when
-	// SimParallel engages. 0 uses GOMAXPROCS; the effective count never
-	// exceeds the partition count. Ignored when SimParallel is off.
-	SimWorkers int
-
 	// CustomPolicy, when non-nil, replaces the built-in DROM policies
 	// with a user-provided core allocator, invoked every LocalPeriod
 	// with the smoothed busy measurements (DROM is ignored). This is the
@@ -282,9 +259,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SamplePeriod == 0 {
 		c.SamplePeriod = 50 * simtime.Millisecond
-	}
-	if c.SimWorkers < 0 {
-		return c, fmt.Errorf("core: negative SimWorkers %d", c.SimWorkers)
 	}
 	if c.FaultRetryBudget == 0 {
 		c.FaultRetryBudget = 3

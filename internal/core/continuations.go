@@ -4,16 +4,13 @@ import "ompsscluster/internal/nanos"
 
 // The runtime's hottest per-task callbacks — task completion on a worker,
 // the arrival of an offload's staged input data, and the completion
-// notification releasing successors at the apprank's home — used to be
-// fresh closures, one or two heap allocations per task execution. They
-// are now explicit continuation records drawn from per-node free
-// lists: each record is armed with its (worker, task) state, handed to
-// the event engine as a pre-bound func, fired exactly once, and then
-// recycled. The event the engine sees is identical to the closure it
-// replaced (same call site, same delay, same (time, seq) key), so the
-// conversion cannot change any schedule; it only removes the per-task
-// allocations. Config.GoroutineEngine retains the closure paths for the
-// engine differential check.
+// notification releasing successors at the apprank's home — are explicit
+// continuation records drawn from per-node free lists instead of fresh
+// closures, which would cost one or two heap allocations per task
+// execution. Each record is armed with its (worker, task) state, handed
+// to the event engine as a pre-bound func, fired exactly once, and then
+// recycled. The engine sees one event per record, at the same call site,
+// delay and (time, seq) key a closure would have.
 //
 // Recycling is safe because a record is returned to its free list only
 // from inside its own fire method: an armed record is referenced by

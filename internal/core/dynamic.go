@@ -62,7 +62,7 @@ func (rt *ClusterRuntime) installDynamicSpreading() {
 	rt.dyn = &dynamicState{pressure: make([]float64, len(rt.appranks))}
 	rt.env.Periodic(period, period, func() bool {
 		rt.growStep()
-		return rt.activeApps.Load() > 0 || !rt.started
+		return rt.activeApps > 0 || !rt.started
 	})
 }
 

@@ -264,7 +264,7 @@ func (rt *ClusterRuntime) abortApp(st *appState, node int) {
 		if !a.finishedMain && a.proc != nil {
 			a.proc.Kill()
 			a.finishedAt = now
-			rt.activeApps.Add(-1)
+			rt.activeApps--
 		}
 		a.queue.Clear()
 		for _, w := range a.workers {

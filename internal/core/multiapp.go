@@ -146,7 +146,7 @@ func (rt *ClusterRuntime) RunAll() error {
 	for _, st := range rt.apps {
 		total += len(st.ranks)
 	}
-	rt.activeApps.Store(int64(total))
+	rt.activeApps = total
 	for _, st := range rt.apps {
 		st := st
 		for _, a := range st.ranks {
@@ -158,7 +158,7 @@ func (rt *ClusterRuntime) RunAll() error {
 				app.TaskWait()
 				a.finishedMain = true
 				a.finishedAt = a.env.Now()
-				rt.activeApps.Add(-1)
+				rt.activeApps--
 			})
 		}
 	}

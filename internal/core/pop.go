@@ -12,12 +12,10 @@ import (
 // graphs. It is available after Run/RunAll on a runtime configured with
 // Config.POP.
 //
-// Determinism: every input is either accumulated in a fixed per-(apprank,
-// node) cell by a single writer, or folded at context-clock timestamps
-// that are identical across the goroutine, continuation, and parallel
-// engines. The builder iterates appranks and nodes in ascending id order,
-// so the report — and its JSON rendering — is byte-identical across
-// engines at any -simworkers count.
+// Determinism: every input is accumulated in a fixed per-(apprank, node)
+// cell or folded at simulation timestamps, and the builder iterates
+// appranks and nodes in ascending id order, so the report — and its JSON
+// rendering — is a deterministic function of the configuration.
 func (rt *ClusterRuntime) POP() (*dlb.POPReport, error) {
 	if !rt.cfg.POP {
 		return nil, fmt.Errorf("core: POP report requested but Config.POP is off")

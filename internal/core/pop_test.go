@@ -2,33 +2,28 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
-	"reflect"
 	"testing"
 
 	"ompsscluster/internal/cluster"
 	"ompsscluster/internal/simtime"
 )
 
-// runPOPWorkload executes the shared cross-engine workload with full POP
-// accounting and returns the report's deterministic JSON rendering.
-func runPOPWorkload(t *testing.T, mutate func(*Config), workers int, parallel bool) string {
-	t.Helper()
-	cfg := Config{
-		Machine:     cluster.New(4, 4, cluster.DefaultNet()),
-		LeWI:        true,
-		DROM:        DROMLocal,
-		Seed:        7,
-		POP:         true,
-		POPWindow:   5 * ms,
-		SimParallel: parallel,
-		SimWorkers:  workers,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	rt := MustNew(cfg)
-	if err := rt.Run(parallelWorkload); err != nil {
+// TestPOPReportPinned pins the POP report's JSON bytes for the shared
+// SPMD workload with full accounting and 5 ms windows: the report is a
+// deterministic function of the configuration.
+func TestPOPReportPinned(t *testing.T) {
+	rt := MustNew(Config{
+		Machine:   cluster.New(4, 4, cluster.DefaultNet()),
+		LeWI:      true,
+		DROM:      DROMLocal,
+		Seed:      7,
+		POP:       true,
+		POPWindow: 5 * ms,
+	})
+	if err := rt.Run(spmdWorkload); err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
 	rep, err := rt.POP()
@@ -39,26 +34,9 @@ func runPOPWorkload(t *testing.T, mutate func(*Config), workers int, parallel bo
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	return buf.String()
-}
-
-// TestPOPDeterministicAcrossEngines is the tentpole acceptance check:
-// the POP report's JSON bytes are identical under the continuation,
-// goroutine, and parallel engines at every worker count.
-func TestPOPDeterministicAcrossEngines(t *testing.T) {
-	ref := runPOPWorkload(t, nil, 0, false)
-	if ref == "" {
-		t.Fatal("empty reference report")
-	}
-	goro := runPOPWorkload(t, func(c *Config) { c.GoroutineEngine = true }, 0, false)
-	if goro != ref {
-		t.Errorf("goroutine engine POP JSON diverged:\ncontinuation:\n%s\ngoroutine:\n%s", ref, goro)
-	}
-	for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-		got := runPOPWorkload(t, nil, workers, true)
-		if got != ref {
-			t.Errorf("simworkers=%d POP JSON diverged:\nsequential:\n%s\nparallel:\n%s", workers, ref, got)
-		}
+	const want = "41355a7cc55445fb007131bb47d7895727c269355ae857983bdb0d00b5e45985"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("POP JSON sha256 %x, pinned %s:\n%s", sum, want, buf.String())
 	}
 }
 
@@ -75,7 +53,7 @@ func TestPOPReportContent(t *testing.T) {
 		POPWindow: 5 * ms,
 	}
 	rt := MustNew(cfg)
-	if err := rt.Run(parallelWorkload); err != nil {
+	if err := rt.Run(spmdWorkload); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := rt.POP()
@@ -133,9 +111,9 @@ func TestPOPReportContent(t *testing.T) {
 // accounting must not change a single scheduling outcome — elapsed time,
 // task counts, run stats, and the TALP report all match a POP-off run.
 func TestPOPOffLeavesRunUnchanged(t *testing.T) {
-	off := runParallelWorkload(t, func(c *Config) { c.POP = false }, 0, false)
-	on := runParallelWorkload(t, func(c *Config) { c.POP = true; c.POPWindow = 5 * ms }, 0, false)
-	if !reflect.DeepEqual(off, on) {
+	off := runSPMDWorkload(t, func(c *Config) { c.POP = false })
+	on := runSPMDWorkload(t, func(c *Config) { c.POP = true; c.POPWindow = 5 * ms })
+	if off != on {
 		t.Errorf("POP accounting perturbed the run:\noff: %+v\non:  %+v", off, on)
 	}
 }

@@ -59,7 +59,7 @@ func (a *Apprank) schedulePump() {
 		return
 	}
 	a.pumpQueued = true
-	a.env.At(a.env.CtxNow(), a.pumpFn)
+	a.env.At(a.env.Now(), a.pumpFn)
 }
 
 // chunkDemand reports whether a worker should receive another chunk: it
@@ -113,7 +113,7 @@ func (a *Apprank) pump() {
 				t := a.queue.Pop()
 				a.assign(w, t, a.dataLocation(t))
 			}
-			a.chunkGrants++
+			a.rt.stats.ChunkGrants++
 			a.rt.cfg.Obs.ChunkGrant(a.id, w.ns.id, int(w.wid), k, cs.Remaining(), int(cs.Kind()))
 			granted = true
 		}

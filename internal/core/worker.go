@@ -60,12 +60,9 @@ func (w *Worker) enqueue(t *nanos.Task) {
 	w.ns.scheduleDispatch()
 }
 
-// after schedules fn on the node's environment d after the current
-// context time. CtxNow (not Now) so a global barrier event — a policy
-// tick or fault edge under the parallel engine — lands the callback at
-// the barrier time even when the node's partition clock lags.
+// after schedules fn on the node's environment d after the current time.
 func (ns *nodeState) after(d simtime.Duration, fn func()) {
-	ns.env.At(ns.env.CtxNow()+simtime.Time(d), fn)
+	ns.env.At(ns.env.Now()+simtime.Time(d), fn)
 }
 
 // start executes the head task on a core the dispatcher secured.
@@ -87,28 +84,12 @@ func (w *Worker) start() {
 	exec := rt.cfg.Machine.ExecTime(w.ns.id, work) + rt.cfg.OverheadFixed
 	// TALP splits the occupied interval into useful compute (the task's
 	// work at this node's speed) and runtime overhead (the fixed and
-	// fractional model terms), attributed to the (apprank, node) cell —
-	// this thread is the only writer for the cell in every engine, so
-	// the accounting is lock-free and deterministic.
+	// fractional model terms), attributed to the (apprank, node) cell.
 	useful := float64(rt.cfg.Machine.ExecTime(w.ns.id, t.Work))
 	rt.talp.AddExec(w.app.id, w.ns.id, now, now+simtime.Time(exec),
 		useful, float64(exec)-useful, borrowed)
-	if rt.cfg.GoroutineEngine {
-		// Legacy closure path, kept for the engine differential check.
-		// The completion is only valid while the worker lives: if the
-		// node dies mid-task the recovery path force-finishes and
-		// re-places the task, and the epoch stamp makes this a no-op.
-		epoch := w.epoch
-		w.ns.env.Schedule(exec, func() {
-			if w.epoch != epoch {
-				return
-			}
-			w.complete(t)
-		})
-		return
-	}
-	// Continuation engine: a pooled record instead of a per-task closure
-	// (same event, same (time, seq) key — see continuations.go).
+	// A pooled continuation record instead of a per-task closure (see
+	// continuations.go).
 	w.ns.env.Schedule(exec, w.ns.getExec(w, t).fn)
 }
 
@@ -128,11 +109,7 @@ func (w *Worker) complete(t *nanos.Task) {
 		if rt.flt != nil {
 			a.markCompletedRemote(t)
 		}
-		if rt.cfg.GoroutineEngine {
-			rt.sendCtl(w.ns.id, a.home, rt.cfg.CtlMsgBytes, func() { a.finishTask(t) })
-		} else {
-			rt.sendCtl(w.ns.id, a.home, rt.cfg.CtlMsgBytes, w.ns.getFinish(a, t).fn)
-		}
+		rt.sendCtl(w.ns.id, a.home, rt.cfg.CtlMsgBytes, w.ns.getFinish(a, t).fn)
 	}
 	// Steal centrally held tasks now that this worker has room ("will be
 	// stolen as tasks complete", §5.5).
@@ -148,7 +125,7 @@ func (ns *nodeState) scheduleDispatch() {
 		return
 	}
 	ns.queued = true
-	ns.env.At(ns.env.CtxNow(), ns.dispatchFn)
+	ns.env.At(ns.env.Now(), ns.dispatchFn)
 }
 
 // dispatch greedily starts runnable tasks on the node: owners use their

@@ -86,11 +86,7 @@ func (a *NodeArbiter) SetObs(rec *obs.Recorder) { a.obs = rec }
 // arbiter itself holds no clock; ownership mutations (SetOwned,
 // SetCores, Shutdown) carry no time argument because the legacy API
 // treats them as instantaneous, so the POP integrals read the runtime's
-// context clock at those boundaries instead. Under the partitioned
-// engine the context clock is max(partition, global) time, which is
-// exactly the mutation's event time in both barrier and partition
-// contexts — the integral fold points are therefore identical across
-// engines.
+// clock at those boundaries instead.
 func (a *NodeArbiter) SetClock(fn func() simtime.Time) { a.clock = fn }
 
 // NewNodeArbiter creates an arbiter for a node with the given core count.

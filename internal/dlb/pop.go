@@ -225,7 +225,7 @@ func popWindows(in POPInput) []POPWindow {
 
 // WriteJSON serialises the report deterministically: fixed field order,
 // floats rendered with strconv at 12 significant digits, no map
-// iteration anywhere. Byte-identical across engines and -simworkers.
+// iteration anywhere, so equal reports render to equal bytes.
 func (r *POPReport) WriteJSON(w io.Writer) error {
 	var b []byte
 	b = append(b, "{\n  \"elapsed_seconds\": "...)

@@ -16,14 +16,10 @@ import (
 //
 // Accounting is cellular: every apprank keeps one accumulator cell per
 // node, and the runtime reports each task execution into the (apprank,
-// executing-node) cell. Under the partitioned simulation engine a node is
-// a partition and each cell is written by exactly one partition thread
-// (an apprank's work lands on its home partition — offloading degrees
-// above one are parallel-ineligible), so the per-cell sums are free of
-// cross-thread interleaving. Snapshot and the POP builder merge cells in
-// fixed (apprank, node) order, which makes every derived report
-// byte-identical across the goroutine, continuation, and parallel
-// engines at any worker count.
+// executing-node) cell. Snapshot and the POP builder merge cells in
+// fixed (apprank, node) order, so every derived report is a
+// deterministic function of the run, with no map iteration order
+// leaking into it.
 type TALP struct {
 	apps     map[int]*talpApp
 	numNodes int
@@ -82,11 +78,7 @@ func (t *TALP) app(apprank int) *talpApp {
 }
 
 // Preallocate creates the accounting entries for the given appranks up
-// front, each with one cell per node. The partitioned simulation engine
-// reports useful/MPI time from per-node partition threads; with every
-// entry preallocated the map is never mutated structurally after
-// construction, so those reports only touch the apprank's own cells
-// (one writer per cell) and concurrent map reads stay safe.
+// front, each with one cell per node of the topology.
 func (t *TALP) Preallocate(ids []int, numNodes int) {
 	if numNodes > t.numNodes {
 		t.numNodes = numNodes

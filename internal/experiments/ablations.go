@@ -17,20 +17,17 @@ func ablationRun(sc Scale, nodes int, tweak func(*core.Config)) simtime.Duration
 	m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synConfig(sc, 2.0), nodes, sc.CoresPerNode)
 	cfg := core.Config{
-		Machine:         m,
-		Degree:          4,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
-		LeWI:            true,
-		DROM:            core.DROMGlobal,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
+		Machine:      m,
+		Degree:       4,
+		Graphs:       sc.Graphs,
+		EngineStats:  sc.Engine,
+		POP:          sc.POP,
+		POPWindow:    sc.POPWindow,
+		LeWI:         true,
+		DROM:         core.DROMGlobal,
+		GlobalPeriod: sc.GlobalPeriod,
+		LocalPeriod:  sc.LocalPeriod,
+		Seed:         sc.Seed,
 	}
 	tweak(&cfg)
 	rt := core.MustNew(cfg)
@@ -157,21 +154,18 @@ func AblationIncentive(sc Scale) *Result {
 		m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 		b := synthetic.New(synConfig(sc, 1.0), nodes, sc.CoresPerNode)
 		rt := core.MustNew(core.Config{
-			Machine:         m,
-			Degree:          4,
-			Graphs:          sc.Graphs,
-			EngineStats:     sc.Engine,
-			POP:             sc.POP,
-			POPWindow:       sc.POPWindow,
-			GoroutineEngine: sc.GoroutineEngine,
-			SimParallel:     sc.SimParallel,
-			SimWorkers:      sc.SimWorkers,
-			LeWI:            true,
-			DROM:            core.DROMGlobal,
-			GlobalPeriod:    sc.GlobalPeriod,
-			LocalPeriod:     sc.LocalPeriod,
-			Seed:            sc.Seed,
-			Incentive:       incentive,
+			Machine:      m,
+			Degree:       4,
+			Graphs:       sc.Graphs,
+			EngineStats:  sc.Engine,
+			POP:          sc.POP,
+			POPWindow:    sc.POPWindow,
+			LeWI:         true,
+			DROM:         core.DROMGlobal,
+			GlobalPeriod: sc.GlobalPeriod,
+			LocalPeriod:  sc.LocalPeriod,
+			Seed:         sc.Seed,
+			Incentive:    incentive,
 		})
 		if err := rt.Run(b.Main()); err != nil {
 			panic(err)

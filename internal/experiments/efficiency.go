@@ -49,23 +49,20 @@ func effRun(sc Scale, imb float64, cfg effConfig, rec *trace.Recorder, ob *obs.R
 	m := cluster.New(effNodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synConfig(sc, imb), effNodes, sc.CoresPerNode)
 	rt := core.MustNew(core.Config{
-		Machine:         m,
-		Degree:          cfg.degree,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             true,
-		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
-		LeWI:            cfg.lewi,
-		DROM:            cfg.drom,
-		SelfSched:       cfg.sched,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
-		Recorder:        rec,
-		Obs:             ob,
+		Machine:      m,
+		Degree:       cfg.degree,
+		Graphs:       sc.Graphs,
+		EngineStats:  sc.Engine,
+		POP:          true,
+		POPWindow:    sc.POPWindow,
+		LeWI:         cfg.lewi,
+		DROM:         cfg.drom,
+		SelfSched:    cfg.sched,
+		GlobalPeriod: sc.GlobalPeriod,
+		LocalPeriod:  sc.LocalPeriod,
+		Seed:         sc.Seed,
+		Recorder:     rec,
+		Obs:          ob,
 	})
 	if err := rt.Run(b.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: efficiency run failed: %v", err))

@@ -72,19 +72,6 @@ type EngineStats struct {
 	// any single run reached — the live-interval footprint after
 	// coalescing, which bounds the per-query walk cost.
 	RegistryHiWater uint64
-	// Partitions is the maximum partition count any single run used
-	// (0 = every run was sequential).
-	Partitions uint64
-	// Windows counts parallel-engine horizon advances across all runs.
-	Windows uint64
-	// BarrierStalls counts windows clamped below the full lookahead by a
-	// pending global event.
-	BarrierStalls uint64
-	// InboxEvents counts cross-partition event deliveries.
-	InboxEvents uint64
-	// Fallbacks counts runs that requested the parallel engine but fell
-	// back to sequential execution.
-	Fallbacks uint64
 }
 
 // Result is one reproduced figure.
@@ -266,22 +253,6 @@ type Scale struct {
 	// time from every simulator run (safe for concurrent use). ByID
 	// creates one per call when unset and summarises it on the Result.
 	Engine *simtime.StatsCollector
-	// GoroutineEngine forces the runtime's legacy per-task closure paths
-	// instead of the pooled continuation records. Results are identical
-	// either way; the flag exists for the engine differential test and
-	// A/B benchmarking (cmd/lbsim -engine goroutine).
-	GoroutineEngine bool
-	// SimParallel requests the partitioned parallel event engine for
-	// every simulator run (cmd/lbsim -engine parallel). Runs whose
-	// configuration the partitioned engine cannot honor (observability,
-	// degree > 1, ...) fall back to sequential execution per run and
-	// record the reason on the Engine collector; results are identical
-	// either way.
-	SimParallel bool
-	// SimWorkers caps the partition worker threads per simulator run
-	// when SimParallel engages (0 = GOMAXPROCS). Note the sweep-level
-	// Parallel knob above multiplies with this one.
-	SimWorkers int
 	// POP enables full TALP/POP accounting in every simulator run of a
 	// figure. Figure outputs are unchanged (accounting is summary-only
 	// until queried); cmd/lbsim sets it from -popaccount so the bench
@@ -490,11 +461,6 @@ func ByID(id string, sc Scale) (*Result, error) {
 		Wakes:           d.Wakes,
 		PeakGoroutines:  d.PeakGoroutines,
 		RegistryHiWater: d.RegistryHiWater,
-		Partitions:      d.Partitions,
-		Windows:         d.Windows,
-		BarrierStalls:   d.BarrierStalls,
-		InboxEvents:     d.InboxEvents,
-		Fallbacks:       d.Fallbacks,
 	}
 	return res, nil
 }

@@ -92,20 +92,17 @@ func dynamicRun(sc Scale, nodes int, synCfg synthetic.Config) (simtime.Duration,
 	m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synCfg, nodes, sc.CoresPerNode)
 	rt := core.MustNew(core.Config{
-		Machine:         m,
-		Degree:          1,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
-		LeWI:            true,
-		DROM:            core.DROMGlobal,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
+		Machine:      m,
+		Degree:       1,
+		Graphs:       sc.Graphs,
+		EngineStats:  sc.Engine,
+		POP:          sc.POP,
+		POPWindow:    sc.POPWindow,
+		LeWI:         true,
+		DROM:         core.DROMGlobal,
+		GlobalPeriod: sc.GlobalPeriod,
+		LocalPeriod:  sc.LocalPeriod,
+		Seed:         sc.Seed,
 		Dynamic: core.DynamicConfig{
 			Enabled:    true,
 			GrowPeriod: sc.LocalPeriod,
@@ -188,20 +185,17 @@ func ExtDVFS(sc Scale) *Result {
 		cfg.Iterations = sc.Iterations * 2
 		b := synthetic.New(cfg, nodes, sc.CoresPerNode)
 		rt := core.MustNew(core.Config{
-			Machine:         m,
-			Degree:          sp.degree,
-			Graphs:          sc.Graphs,
-			EngineStats:     sc.Engine,
-			POP:             sc.POP,
-			POPWindow:       sc.POPWindow,
-			GoroutineEngine: sc.GoroutineEngine,
-			SimParallel:     sc.SimParallel,
-			SimWorkers:      sc.SimWorkers,
-			LeWI:            sp.lewi,
-			DROM:            sp.drom,
-			GlobalPeriod:    sc.GlobalPeriod,
-			LocalPeriod:     sc.LocalPeriod,
-			Seed:            sc.Seed,
+			Machine:      m,
+			Degree:       sp.degree,
+			Graphs:       sc.Graphs,
+			EngineStats:  sc.Engine,
+			POP:          sc.POP,
+			POPWindow:    sc.POPWindow,
+			LeWI:         sp.lewi,
+			DROM:         sp.drom,
+			GlobalPeriod: sc.GlobalPeriod,
+			LocalPeriod:  sc.LocalPeriod,
+			Seed:         sc.Seed,
 		})
 		// Throttle node 0 halfway through the run: iteration time is
 		// roughly TasksPerCore x MeanTask, so half the iterations in.
@@ -235,9 +229,6 @@ func partitionedRun(sc Scale, nodes, partition int) simtime.Duration {
 		EngineStats:     sc.Engine,
 		POP:             sc.POP,
 		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
 		LeWI:            true,
 		DROM:            core.DROMGlobal,
 		GlobalPeriod:    sc.GlobalPeriod,

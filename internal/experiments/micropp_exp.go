@@ -61,9 +61,6 @@ func mppRun(sc Scale, nodes, rpn, degree int, lewi bool, drom core.DROMMode, rec
 		EngineStats:     sc.Engine,
 		POP:             sc.POP,
 		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
 		LeWI:            lewi,
 		DROM:            drom,
 		GlobalPeriod:    sc.GlobalPeriod,

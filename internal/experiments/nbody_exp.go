@@ -68,9 +68,6 @@ func nbodyRun(sc Scale, nodes, degree int, lewi bool, drom core.DROMMode, slow, 
 		EngineStats:     sc.Engine,
 		POP:             sc.POP,
 		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
 		LeWI:            lewi,
 		DROM:            drom,
 		GlobalPeriod:    sc.GlobalPeriod,

@@ -101,24 +101,21 @@ func policyRun(sc Scale, scn policyScenario, plan *faults.Plan, pol policyConfig
 	}
 	b := synthetic.New(synCfg, policyNodes, sc.CoresPerNode)
 	rt, err := core.New(core.Config{
-		Machine:         m,
-		Degree:          3,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
-		LeWI:            pol.lewi,
-		DROM:            pol.drom,
-		SelfSched:       pol.sched,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
-		Faults:          plan,
-		Recorder:        rec,
-		Obs:             ob,
+		Machine:      m,
+		Degree:       3,
+		Graphs:       sc.Graphs,
+		EngineStats:  sc.Engine,
+		POP:          sc.POP,
+		POPWindow:    sc.POPWindow,
+		LeWI:         pol.lewi,
+		DROM:         pol.drom,
+		SelfSched:    pol.sched,
+		GlobalPeriod: sc.GlobalPeriod,
+		LocalPeriod:  sc.LocalPeriod,
+		Seed:         sc.Seed,
+		Faults:       plan,
+		Recorder:     rec,
+		Obs:          ob,
 	})
 	if err != nil {
 		return 0, nil, err
@@ -242,7 +239,9 @@ func PolicyDemo(sc Scale, policy string, plan *faults.Plan) (*Result, error) {
 		return outcome{t: t, stats: st, err: err}
 	}, jsonCodec(
 		func(o outcome) outMirror { return outMirror{o.t, toStatsMirror(o.stats), errString(o.err)} },
-		func(m outMirror) outcome { return outcome{t: m.T, stats: fromStatsMirror(m.Stats), err: errFromString(m.Err)} },
+		func(m outMirror) outcome {
+			return outcome{t: m.T, stats: fromStatsMirror(m.Stats), err: errFromString(m.Err)}
+		},
 	))
 	for i, pol := range pols {
 		out := outs[i]

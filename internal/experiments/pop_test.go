@@ -9,14 +9,12 @@ import (
 	"ompsscluster/internal/obs"
 )
 
-// popReportsJSON renders every fig8 POP report of one engine config as a
+// popReportsJSON renders every fig8 POP report of one scale config as a
 // single concatenated JSON blob for byte comparison.
 func popReportsJSON(t *testing.T, mutate func(*Scale)) string {
 	t.Helper()
 	sc := qs()
-	if mutate != nil {
-		mutate(&sc)
-	}
+	mutate(&sc)
 	bundles, err := POPReports("fig8", sc)
 	if err != nil {
 		t.Fatal(err)
@@ -33,27 +31,15 @@ func popReportsJSON(t *testing.T, mutate func(*Scale)) string {
 }
 
 // TestPOPReportsEngineDifferential: the fig8 POP JSON must be
-// byte-identical across the three simulation engines, worker counts, and
-// sweep parallelism.
+// byte-identical whether the sweep engine runs the representative
+// configurations one or eight at a time.
 func TestPOPReportsEngineDifferential(t *testing.T) {
-	ref := popReportsJSON(t, nil)
+	ref := popReportsJSON(t, func(sc *Scale) { sc.Parallel = 1 })
 	if ref == "" || !strings.Contains(ref, `"apprank_pop"`) {
 		t.Fatalf("degenerate reference:\n%s", ref)
 	}
-	cases := []struct {
-		name   string
-		mutate func(*Scale)
-	}{
-		{"goroutine", func(sc *Scale) { sc.GoroutineEngine = true }},
-		{"parallel-1", func(sc *Scale) { sc.SimParallel = true; sc.SimWorkers = 1 }},
-		{"parallel-4", func(sc *Scale) { sc.SimParallel = true; sc.SimWorkers = 4 }},
-		{"parallel-8", func(sc *Scale) { sc.SimParallel = true; sc.SimWorkers = 8 }},
-		{"sweep-parallel", func(sc *Scale) { sc.Parallel = 8 }},
-	}
-	for _, tc := range cases {
-		if got := popReportsJSON(t, tc.mutate); got != ref {
-			t.Errorf("%s: POP JSON diverged from the continuation reference", tc.name)
-		}
+	if got := popReportsJSON(t, func(sc *Scale) { sc.Parallel = 8 }); got != ref {
+		t.Errorf("POP JSON diverged between sweep parallelism 1 and 8")
 	}
 }
 
@@ -135,16 +121,11 @@ func metricsJSON(t *testing.T, mutate func(*Scale)) string {
 }
 
 // TestBuildMetricsJSONDeterministic: the aggregated metrics registry is
-// byte-identical across the sequential engines and sweep parallelism
-// (structured-event recording is parallel-engine-ineligible, so the
-// partitioned engine is exercised elsewhere via the POP JSON check).
+// byte-identical across sweep parallelism and repeated invocations.
 func TestBuildMetricsJSONDeterministic(t *testing.T) {
 	ref := metricsJSON(t, nil)
 	if ref == "" {
 		t.Fatal("empty metrics JSON")
-	}
-	if got := metricsJSON(t, func(sc *Scale) { sc.GoroutineEngine = true }); got != ref {
-		t.Error("metrics JSON diverged between continuation and goroutine engines")
 	}
 	if got := metricsJSON(t, func(sc *Scale) { sc.Parallel = 8 }); got != ref {
 		t.Error("metrics JSON diverged under sweep parallelism")

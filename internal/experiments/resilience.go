@@ -77,21 +77,18 @@ func resilienceRun(sc Scale, plan *faults.Plan, lewi bool, drom core.DROMMode) (
 	m := cluster.New(resilienceNodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synConfig(sc, 2.0), resilienceNodes, sc.CoresPerNode)
 	rt, err := core.New(core.Config{
-		Machine:         m,
-		Degree:          3,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
-		LeWI:            lewi,
-		DROM:            drom,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
-		Faults:          plan,
+		Machine:      m,
+		Degree:       3,
+		Graphs:       sc.Graphs,
+		EngineStats:  sc.Engine,
+		POP:          sc.POP,
+		POPWindow:    sc.POPWindow,
+		LeWI:         lewi,
+		DROM:         drom,
+		GlobalPeriod: sc.GlobalPeriod,
+		LocalPeriod:  sc.LocalPeriod,
+		Seed:         sc.Seed,
+		Faults:       plan,
 	})
 	if err != nil {
 		return 0, nil, err
@@ -216,7 +213,9 @@ func FaultDemo(sc Scale, plan *faults.Plan) *Result {
 		return outcome{t: t, stats: st, err: err}
 	}, jsonCodec(
 		func(o outcome) outMirror { return outMirror{o.t, toStatsMirror(o.stats), errString(o.err)} },
-		func(m outMirror) outcome { return outcome{t: m.T, stats: fromStatsMirror(m.Stats), err: errFromString(m.Err)} },
+		func(m outMirror) outcome {
+			return outcome{t: m.T, stats: fromStatsMirror(m.Stats), err: errFromString(m.Err)}
+		},
 	))
 	for i, pol := range pols {
 		out := outs[i]

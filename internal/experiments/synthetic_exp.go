@@ -17,22 +17,19 @@ import (
 func synRun(sc Scale, m *cluster.Machine, synCfg synthetic.Config, degree int, lewi bool, drom core.DROMMode, rec *trace.Recorder, ob *obs.Recorder) (simtime.Duration, *core.ClusterRuntime) {
 	b := synthetic.New(synCfg, m.NumNodes(), sc.CoresPerNode)
 	rt := core.MustNew(core.Config{
-		Machine:         m,
-		Degree:          degree,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
-		LeWI:            lewi,
-		DROM:            drom,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
-		Recorder:        rec,
-		Obs:             ob,
+		Machine:      m,
+		Degree:       degree,
+		Graphs:       sc.Graphs,
+		EngineStats:  sc.Engine,
+		POP:          sc.POP,
+		POPWindow:    sc.POPWindow,
+		LeWI:         lewi,
+		DROM:         drom,
+		GlobalPeriod: sc.GlobalPeriod,
+		LocalPeriod:  sc.LocalPeriod,
+		Seed:         sc.Seed,
+		Recorder:     rec,
+		Obs:          ob,
 	})
 	if err := rt.Run(b.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: synthetic run failed: %v", err))
@@ -359,9 +356,6 @@ func runFig5Workload(sc Scale, drom core.DROMMode, rec *trace.Recorder, ob *obs.
 		EngineStats:     sc.Engine,
 		POP:             sc.POP,
 		POPWindow:       sc.POPWindow,
-		GoroutineEngine: sc.GoroutineEngine,
-		SimParallel:     sc.SimParallel,
-		SimWorkers:      sc.SimWorkers,
 		LeWI:            true,
 		DROM:            drom,
 		GlobalPeriod:    sc.GlobalPeriod,

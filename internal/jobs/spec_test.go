@@ -31,8 +31,6 @@ func TestHashIndependentOfFieldOrderAndHints(t *testing.T) {
 		// Defaults normalize: quick's default seed is 1.
 		`{"experiment":"fig8","scale":"quick"}`,
 		// Execution hints are excluded from the address.
-		`{"experiment":"fig8","scale":"quick","engine":"goroutine"}`,
-		`{"experiment":"fig8","scale":"quick","engine":"parallel","simworkers":4}`,
 		`{"experiment":"fig8","scale":"quick","parallel":8,"timeout_sec":60}`,
 	}
 	for _, doc := range same {
@@ -84,6 +82,11 @@ func TestParseSpecActionableErrors(t *testing.T) {
 		want []string
 	}{
 		{"unknown field", `{"experimnt":"fig8"}`, []string{`unknown field "experimnt"`, "valid fields"}},
+		// The engine hints are gone: the sequential engine is the only one.
+		{"engine hint removed", `{"experiment":"fig8","engine":"continuation"}`,
+			[]string{`unknown field "engine"`, "valid fields: experiment, scale, seed, policy, faults, parallel, timeout_sec)"}},
+		{"simworkers hint removed", `{"experiment":"fig8","simworkers":2}`,
+			[]string{`unknown field "simworkers"`, "valid fields: experiment, scale, seed, policy, faults, parallel, timeout_sec)"}},
 		{"type error names field", `{"seed":"one"}`, []string{`field "seed"`, "int64"}},
 		{"trailing garbage", `{"experiment":"fig8"} junk`, []string{"trailing data"}},
 	}
@@ -111,10 +114,8 @@ func TestNormalizeRejects(t *testing.T) {
 		{"unknown experiment", `{"experiment":"fig99"}`, "unknown experiment"},
 		{"unknown scale", `{"experiment":"fig8","scale":"huge"}`, "unknown scale"},
 		{"unknown policy", `{"policy":"roundrobin"}`, "unknown policy"},
-		{"unknown engine", `{"experiment":"fig8","engine":"warp"}`, "unknown engine"},
 		{"experiment+policy", `{"experiment":"fig8","policy":"guided"}`, "mutually exclusive"},
 		{"experiment+faults", `{"experiment":"fig8","faults":"slownode"}`, "mutually exclusive"},
-		{"simworkers without parallel engine", `{"experiment":"fig8","simworkers":2}`, "simworkers"},
 		{"unknown preset", `{"faults":"meteorstorm"}`, "unknown faults preset"},
 		{"bad plan event indexed", `{"faults":{"events":[{"kind":"slow","at":"1ms","until":"2ms","speed":0.5},{"kind":"coreloss","at":"1ms","cores":"two"}]}}`, "event 1"},
 		{"plan invalid for demo machine", `{"faults":{"events":[{"kind":"crash","at":"1ms","node":9}]}}`, "out of range"},
@@ -139,7 +140,7 @@ func TestNormalizeFillsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Scale != "default" || spec.Seed != 1 || spec.Engine != "continuation" {
+	if spec.Scale != "default" || spec.Seed != 1 {
 		t.Fatalf("defaults not filled: %+v", spec)
 	}
 }

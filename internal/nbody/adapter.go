@@ -2,7 +2,6 @@ package nbody
 
 import (
 	"fmt"
-	"sync"
 
 	"ompsscluster/internal/core"
 	"ompsscluster/internal/nanos"
@@ -59,11 +58,9 @@ type ClusterSim struct {
 
 	weights []float64 // per-body ORB weights from the last step
 
-	// mu guards the once-per-step ORB decomposition, which ranks on
-	// different host workers of the partitioned engine reach concurrently.
+	// The once-per-step ORB decomposition is cached for the other ranks.
 	// Its inputs are complete before any rank can reach it, so which rank
-	// computes it (a wake-order accident) is unobservable.
-	mu        sync.Mutex
+	// computes it is unobservable.
 	orbStep   int            // step the cached assignment belongs to
 	orbAssign []int          // cached ORB assignment
 	stepEnds  []simtime.Time // per-step completion times (rank 0)
@@ -91,8 +88,6 @@ func NewClusterSim(cfg AdapterConfig) *ClusterSim {
 // per step (every rank would compute the identical replicated
 // decomposition) from the step's post-integration positions.
 func (cs *ClusterSim) orb(step, parts int) []int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if cs.orbStep != step {
 		pos, _ := cs.traj.Step(step)
 		cs.orbAssign = ORB(pos, cs.weights, parts)

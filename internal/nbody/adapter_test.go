@@ -160,60 +160,6 @@ func TestSlowNodeHurtsWithoutBalancing(t *testing.T) {
 	}
 }
 
-// TestParallelClusterSimMatchesSequential pins the partitioned engine on
-// the one workload with first-toucher host-side state (ORB, and the
-// lazily integrated trajectory): step completion times, elapsed time and
-// the final physics must be identical to the sequential engine at any
-// worker count. The slow node plus two appranks per node maximizes
-// same-instant collective ties, and time-weighted ORB exercises the
-// per-rank weight stamping.
-func TestParallelClusterSimMatchesSequential(t *testing.T) {
-	for _, timeWeights := range []bool{false, true} {
-		cfg := testAdapterConfig()
-		cfg.TimeWeights = timeWeights
-		run := func(parallel bool, workers int) ([]simtime.Time, simtime.Duration, []Vec3, bool) {
-			cs := NewClusterSim(cfg)
-			mach := cluster.New(4, 8, cluster.DefaultNet())
-			mach.SetSpeed(0, 0.6)
-			rt := core.MustNew(core.Config{
-				Machine:         mach,
-				AppranksPerNode: 2,
-				LeWI:            true,
-				Seed:            2,
-				SimParallel:     parallel,
-				SimWorkers:      workers,
-			})
-			if err := rt.Run(cs.Main()); err != nil {
-				t.Fatal(err)
-			}
-			return cs.StepEnds(), rt.Elapsed(), cs.traj.Final(), rt.Engine() != nil
-		}
-		refEnds, refElapsed, refPos, _ := run(false, 0)
-		for _, workers := range []int{1, 4} {
-			ends, elapsed, pos, engaged := run(true, workers)
-			if !engaged {
-				t.Fatalf("timeWeights=%v workers=%d: parallel engine did not engage", timeWeights, workers)
-			}
-			if elapsed != refElapsed {
-				t.Errorf("timeWeights=%v workers=%d: elapsed = %v, sequential %v", timeWeights, workers, elapsed, refElapsed)
-			}
-			if len(ends) != len(refEnds) {
-				t.Fatalf("timeWeights=%v workers=%d: %d step ends, sequential %d", timeWeights, workers, len(ends), len(refEnds))
-			}
-			for i := range ends {
-				if ends[i] != refEnds[i] {
-					t.Errorf("timeWeights=%v workers=%d: step %d ended at %v, sequential %v", timeWeights, workers, i, ends[i], refEnds[i])
-				}
-			}
-			for i := range refPos {
-				if pos[i] != refPos[i] {
-					t.Fatalf("timeWeights=%v workers=%d: body %d position diverged", timeWeights, workers, i)
-				}
-			}
-		}
-	}
-}
-
 func TestAdapterPanics(t *testing.T) {
 	for _, mod := range []func(*AdapterConfig){
 		func(c *AdapterConfig) { c.Bodies = 0 },

@@ -64,21 +64,12 @@ type commState struct {
 	colls  map[int]*collOp
 }
 
-// buildRankOf materializes the global-rank -> comm-rank map. Partitioned
-// worlds call it up front so rank processes on different partitions
-// never race to initialize it lazily.
-func (cs *commState) buildRankOf() {
+func (cs *commState) commRankOf(global int) int {
 	if cs.rankOf == nil {
 		cs.rankOf = make(map[int]int, len(cs.group))
 		for cr, g := range cs.group {
 			cs.rankOf[g] = cr
 		}
-	}
-}
-
-func (cs *commState) commRankOf(global int) int {
-	if cs.rankOf == nil {
-		cs.buildRankOf()
 	}
 	cr, ok := cs.rankOf[global]
 	if !ok {
@@ -144,14 +135,6 @@ type collOp struct {
 	size    int64
 	entered []simtime.Time // by comm rank, only when observability is on
 
-	// Partitioned-engine fields (collectiveParallel only): the parked
-	// process, home environment and finish mapping of each entrant, plus
-	// the deterministic entry order used to replay the sequential wake
-	// order at completion.
-	procs []*simtime.Proc
-	penvs []*simtime.Env
-	fin   []func(vals []any, commRank int) any
-	order []int // comm ranks in entry order
 }
 
 // collective runs one collective step: all ranks of the communicator must
@@ -160,9 +143,6 @@ type collOp struct {
 func (c *Comm) collective(kind string, contrib any, size int64, finish func(vals []any, commRank int) any) any {
 	cs := c.state
 	cs.w.ops[c.rank].colls++
-	if cs.w.eng != nil {
-		return c.collectiveParallel(kind, contrib, size, finish)
-	}
 	seq := c.opSeq
 	c.opSeq++
 	op, ok := cs.colls[seq]
@@ -196,12 +176,12 @@ func (c *Comm) collective(kind string, contrib any, size int64, finish func(vals
 	// entrant — this one included — resumes through the same two-hop wake:
 	// the completion trigger schedules one callback per rank in entry
 	// order, and each callback schedules the real resume at the queue
-	// tail. A symmetric shape keeps the resume order a pure function of
-	// entry order, which the partitioned engine replays exactly; a
-	// shorter wake path for the last entrant would make same-timestamp
-	// ordering depend on which rank happened to arrive last — invisible
-	// sequentially, but unreconstructible across partitions when several
-	// ranks enter at the same instant.
+	// tail. This shape fixes the same-instant order of everything the
+	// resumed ranks do at the completion timestamp (events a resumed rank
+	// schedules land after every entrant's wake callback but before later
+	// entrants' resumes), and every golden output depends on that order:
+	// changing the wake path reorders same-time events and with them the
+	// traces, metrics and figure bytes.
 	delete(cs.colls, seq)
 	w := cs.w
 	cost := w.hopCost(len(cs.group), op.size)
@@ -225,105 +205,6 @@ func (c *Comm) collective(kind string, contrib any, size int64, finish func(vals
 	}
 	c.proc.SetBlockReason(kind, int64(cr), int64(seq))
 	return c.proc.Park()
-}
-
-// collectiveParallel is the collective step under a partitioned engine.
-// Entering ranks stage their contribution to the global environment
-// (where the shared collOp lives) and park; the completion — a global
-// event — wakes every entrant via barrier-context injections into its
-// home partition, replaying the sequential wake order: every entrant in
-// entry order, two event hops after completion. The completion fires
-// hopCost(p >= 2) >= Latency >= lookahead after the last entry, so the
-// injections never land below a partition's horizon.
-func (c *Comm) collectiveParallel(kind string, contrib any, size int64, finish func(vals []any, commRank int) any) any {
-	cs := c.state
-	w := cs.w
-	seq := c.opSeq
-	c.opSeq++
-	cr := cs.commRankOf(c.rank)
-	myEnv := w.envFor(c.rank)
-	proc := c.proc
-	if len(cs.group) == 1 {
-		// Single-member communicator: no cross-partition coordination and
-		// zero modelled cost; complete on the rank's own environment with
-		// the same two-hop wake shape as the shared path.
-		done := myEnv.NewEvent()
-		myEnv.Schedule(0, func() { done.Trigger(nil) })
-		done.Subscribe(func(any) { myEnv.WakeProc(proc, finish([]any{contrib}, cr)) })
-		proc.SetBlockReason(kind, int64(cr), int64(seq))
-		return proc.Park()
-	}
-	w.eng.Send(myEnv, w.env, 0, func() {
-		cs.collEnter(kind, seq, cr, contrib, size, proc, myEnv, finish)
-	})
-	proc.SetBlockReason(kind, int64(cr), int64(seq))
-	return proc.Park()
-}
-
-// collEnter records one rank's entry into a collective. It runs on the
-// global environment (barrier context), so mutation of the shared
-// collOp is single-threaded and ordered by the deterministic outbox
-// merge.
-func (cs *commState) collEnter(kind string, seq, cr int, contrib any, size int64,
-	proc *simtime.Proc, penv *simtime.Env, finish func(vals []any, commRank int) any) {
-	w := cs.w
-	op, ok := cs.colls[seq]
-	if !ok {
-		n := len(cs.group)
-		op = &collOp{
-			kind:  kind,
-			vals:  make([]any, n),
-			size:  size,
-			procs: make([]*simtime.Proc, n),
-			penvs: make([]*simtime.Env, n),
-			fin:   make([]func([]any, int) any, n),
-			order: make([]int, 0, n),
-		}
-		cs.colls[seq] = op
-	}
-	if op.kind != kind {
-		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d called %s, others called %s",
-			cs.group[cr], kind, op.kind))
-	}
-	op.vals[cr] = contrib
-	op.procs[cr] = proc
-	op.penvs[cr] = penv
-	op.fin[cr] = finish
-	op.order = append(op.order, cr)
-	op.arrived++
-	if size > op.size {
-		op.size = size
-	}
-	if op.arrived < len(cs.group) {
-		return
-	}
-	delete(cs.colls, seq)
-	cost := w.hopCost(len(cs.group), op.size)
-	w.env.Schedule(cost, func() {
-		now := w.env.Now()
-		// Replay the sequential wake shape: every entrant resumes two
-		// event hops after the completion instant, in entry order. The
-		// injection is the first hop (the sequential Subscribe callback)
-		// and the pe.At it performs is the second (the WakeProc), so
-		// events a resumed rank schedules at this timestamp land after
-		// every co-located entrant's hop event but before later entrants'
-		// resumes — the sequential interleaving exactly. Because the
-		// shape is symmetric, cross-partition entry order — where the
-		// outbox merge breaks same-instant ties by partition index rather
-		// than by the sequential engine's global arrival order — is
-		// unobservable: only the per-partition projection of the wake
-		// order matters, and the merge preserves that.
-		for _, cri := range op.order {
-			cri := cri
-			p, pe, fin := op.procs[cri], op.penvs[cri], op.fin[cri]
-			w.eng.Inject(pe, now, func() {
-				// op.vals is read-only by completion time, so the
-				// concurrent per-partition reads the finish mappings do
-				// are safe.
-				pe.At(now, func() { pe.WakeProc(p, fin(op.vals, cri)) })
-			})
-		}
-	})
 }
 
 // Barrier blocks until all ranks of the communicator have entered it.
@@ -396,12 +277,6 @@ type splitKey struct {
 // communicator, ordered by (key, current rank). Ranks passing a negative
 // color receive nil.
 func (c *Comm) Split(color, key int) *Comm {
-	if c.state.w.eng != nil {
-		// Interning the derived communicator is a world-level mutation the
-		// partitioned ranks would race on; no workload uses Split, so the
-		// eligibility gate in core keeps such programs sequential.
-		panic("simmpi: Split is not supported under the partitioned engine")
-	}
 	r := c.collective("split", splitKey{color, key, c.rank}, 16, func(vals []any, cr int) any {
 		me := vals[cr].(splitKey)
 		if me.color < 0 {

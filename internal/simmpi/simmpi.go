@@ -196,18 +196,10 @@ type World struct {
 	links   *faults.Links
 	linkSeq uint64
 
-	// eng/penv attach the world to a conservative parallel engine: rank
-	// r's process and mailbox live on penv[r], the partition of its home
-	// node, and cross-partition deliveries route through the engine. Both
-	// nil (the default) keeps every path on the sequential w.env.
-	eng  *simtime.Engine
-	penv []*simtime.Env
-
 	// ops counts blocking MPI operations per global rank (collectives
 	// entered and blocking receives). Each slot is written only by its
-	// rank's own process — on its home partition under the parallel
-	// engine — and read after the run, so the counters are lock-free and
-	// deterministic across engines. They feed the POP efficiency report.
+	// rank's own process and read after the run. They feed the POP
+	// efficiency report.
 	ops []rankOps
 }
 
@@ -222,28 +214,6 @@ type rankOps struct {
 func (w *World) RankOps(rank int) (colls, recvs uint64) {
 	o := w.ops[rank]
 	return o.colls, o.recvs
-}
-
-// Partition attaches the world to a parallel engine. envs[r] is the
-// partition environment of rank r's home node; the world's own env must
-// be the engine's global environment. Must be called before Spawn.
-func (w *World) Partition(eng *simtime.Engine, envs []*simtime.Env) {
-	if len(envs) != len(w.placement) {
-		panic(fmt.Sprintf("simmpi: Partition with %d envs for %d ranks", len(envs), len(w.placement)))
-	}
-	w.eng = eng
-	w.penv = append([]*simtime.Env(nil), envs...)
-	// Build the world communicator's rank map eagerly: ranks on different
-	// partitions would otherwise race to initialize it lazily.
-	w.world.buildRankOf()
-}
-
-// envFor returns the environment owning the given global rank.
-func (w *World) envFor(rank int) *simtime.Env {
-	if w.penv == nil {
-		return w.env
-	}
-	return w.penv[rank]
 }
 
 // SetLinkFaults attaches a link-fault conditioner. Pass nil to detach.
@@ -314,7 +284,7 @@ func (w *World) NodeOf(rank int) int { return w.placement[rank] }
 // Spawn starts the program for one global rank as a simulation process.
 // The program receives a *Comm bound to the world communicator.
 func (w *World) Spawn(rank int, main func(c *Comm)) *simtime.Proc {
-	return w.envFor(rank).Spawn(fmt.Sprintf("rank%d", rank), func(p *simtime.Proc) {
+	return w.env.Spawn(fmt.Sprintf("rank%d", rank), func(p *simtime.Proc) {
 		main(&Comm{state: w.world, rank: rank, proc: p})
 	})
 }
@@ -352,15 +322,6 @@ func (w *World) Post(src, dst, tag int, data any, size int64) {
 		return
 	}
 	d := w.machine.Net.TransferTime(w.placement[src], w.placement[dst], size)
-	if w.eng != nil {
-		// Partitioned world: Post runs on the sender's environment (rank
-		// processes post from their home partition; barrier-context posts
-		// come from the global environment). Cross-node transfer times are
-		// bounded below by MinRemoteLatency >= the engine lookahead, so
-		// the conservative send is always legal.
-		w.eng.Send(w.envFor(src), w.envFor(dst), d, func() { w.deliver(dst, msg) })
-		return
-	}
 	w.env.Schedule(d, func() { w.deliver(dst, msg) })
 }
 

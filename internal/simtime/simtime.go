@@ -125,16 +125,6 @@ type Env struct {
 	nwake    uint64 // scheduled process resumptions
 	ngoro    int    // goroutine-backed processes currently running
 	peakGoro int    // high-water mark of ngoro
-
-	// Parallel-engine attachment (nil/zero for standalone environments).
-	// eng points at the coordinating Engine, eidx is this environment's
-	// index within it (partitions first, global last), and out is the
-	// outbox of cross-partition sends staged during the current window,
-	// merged deterministically at the window boundary.
-	eng    *Engine
-	eidx   int
-	out    []outEvent
-	outSeq uint64
 }
 
 // NewEnv returns a fresh simulation environment at time zero.
@@ -147,37 +137,6 @@ func NewEnv() *Env {
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
-
-// CtxNow returns the current virtual time of the calling context. For a
-// standalone environment it is identical to Now. For a partition of a
-// parallel Engine it is the later of the partition clock and the global
-// clock: during partition execution the executing event's time is >= the
-// last global (barrier) event, and during barrier execution the global
-// clock is >= every quiesced partition clock — so max(own, global) is
-// the correct "now" in both contexts. Code that schedules onto an
-// environment it may not currently be executing on (e.g. a global policy
-// tick kicking a node's dispatcher) must use CtxNow, never Now.
-func (e *Env) CtxNow() Time {
-	if e.eng != nil && e.eng.global.now > e.now {
-		return e.eng.global.now
-	}
-	return e.now
-}
-
-// peekTime returns the timestamp of the earliest pending event, if any.
-func (e *Env) peekTime() (Time, bool) {
-	if e.nowHead < len(e.nowQ) {
-		t := e.nowQ[e.nowHead].t
-		if len(e.pq) > 0 && e.pq[0].t < t {
-			t = e.pq[0].t
-		}
-		return t, true
-	}
-	if len(e.pq) > 0 {
-		return e.pq[0].t, true
-	}
-	return 0, false
-}
 
 // Steps returns the number of events executed so far. Useful for
 // determinism tests and run statistics.

@@ -1,9 +1,6 @@
 package simtime
 
 import (
-	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -30,21 +27,6 @@ type EngineStats struct {
 	// on the event-loop goroutine — so this gauge measures the Go
 	// scheduler pressure a run exerts.
 	PeakGoroutines uint64
-
-	// Parallel-engine counters, zero for sequential environments.
-
-	// Partitions is the number of partition environments (0 = sequential).
-	Partitions uint64
-	// Windows counts horizon advances: rounds in which partitions ran
-	// concurrently up to the conservative horizon.
-	Windows uint64
-	// BarrierStalls counts windows whose horizon was clamped below
-	// T+lookahead by a pending global event (policy tick, fault edge,
-	// collective completion).
-	BarrierStalls uint64
-	// InboxEvents counts cross-environment event deliveries: outbox
-	// merges at window boundaries plus barrier-context injections.
-	InboxEvents uint64
 }
 
 // EngineStats returns the environment's counters so far.
@@ -57,22 +39,6 @@ func (e *Env) EngineStats() EngineStats {
 		Wakes:          e.nwake,
 		PeakGoroutines: uint64(e.peakGoro),
 	}
-}
-
-// PartitionStats is one partition's scheduler profile under the
-// parallel engine. Windows, StallWindows, OutboxStaged, and MaxOutbox
-// are deterministic functions of the simulated program; Busy and
-// BarrierWait are host wall-clock measurements (how the window fan-out
-// actually spent its time on this machine) and therefore vary run to
-// run — they live here, outside the deterministic EngineStats struct.
-type PartitionStats struct {
-	Partition    int
-	Busy         time.Duration // host time executing events inside windows
-	BarrierWait  time.Duration // host time finished early, waiting at the window barrier
-	Windows      uint64        // windows this partition participated in
-	StallWindows uint64        // participated windows clamped by a pending global event
-	OutboxStaged uint64        // cross-partition sends staged
-	MaxOutbox    uint64        // peak outbox depth at a window boundary
 }
 
 // RunTotals aggregates engine counters and host execution time over a set
@@ -92,18 +58,7 @@ type RunTotals struct {
 	// RegistryHiWater is the maximum dependency-registry interval count
 	// observed in any single run — a monotonic gauge, not a sum.
 	RegistryHiWater uint64
-	// Partitions is the maximum partition count any single run used —
-	// a monotonic gauge, not a sum (0 = every run was sequential).
-	Partitions uint64
-	// Windows, BarrierStalls and InboxEvents sum the parallel-engine
-	// scheduler counters over all runs.
-	Windows       uint64
-	BarrierStalls uint64
-	InboxEvents   uint64
-	// Fallbacks counts runs that requested the parallel engine but fell
-	// back to sequential execution (zero lookahead, ineligible config).
-	Fallbacks uint64
-	Host      time.Duration
+	Host            time.Duration
 }
 
 // EventsPerSec reports engine throughput in events per second of host
@@ -136,11 +91,6 @@ func (t RunTotals) Sub(prev RunTotals) RunTotals {
 		Wakes:           t.Wakes - prev.Wakes,
 		PeakGoroutines:  t.PeakGoroutines,
 		RegistryHiWater: t.RegistryHiWater,
-		Partitions:      t.Partitions,
-		Windows:         t.Windows - prev.Windows,
-		BarrierStalls:   t.BarrierStalls - prev.BarrierStalls,
-		InboxEvents:     t.InboxEvents - prev.InboxEvents,
-		Fallbacks:       t.Fallbacks - prev.Fallbacks,
 		Host:            t.Host - prev.Host,
 	}
 }
@@ -157,23 +107,7 @@ type StatsCollector struct {
 	wakes      atomic.Uint64
 	peakGoro   atomic.Uint64
 	regHiWater atomic.Uint64
-	partitions atomic.Uint64
-	windows    atomic.Uint64
-	stalls     atomic.Uint64
-	inbox      atomic.Uint64
-	fallbacks  atomic.Uint64
 	hostNS     atomic.Int64
-
-	// fallbackMu guards fallbackWhy, the distinct reasons runs fell back
-	// from parallel to sequential execution (diagnostic, order-free).
-	fallbackMu  sync.Mutex
-	fallbackWhy map[string]uint64
-
-	// partMu guards partStats, the per-partition profile folded by
-	// partition index across runs (busy/wait/windows sum, MaxOutbox
-	// takes the maximum).
-	partMu    sync.Mutex
-	partStats []PartitionStats
 }
 
 // NewStatsCollector returns an empty collector.
@@ -192,79 +126,7 @@ func (c *StatsCollector) Record(st EngineStats, host time.Duration) {
 	c.parks.Add(st.Parks)
 	c.wakes.Add(st.Wakes)
 	foldMax(&c.peakGoro, st.PeakGoroutines)
-	foldMax(&c.partitions, st.Partitions)
-	c.windows.Add(st.Windows)
-	c.stalls.Add(st.BarrierStalls)
-	c.inbox.Add(st.InboxEvents)
 	c.hostNS.Add(host.Nanoseconds())
-}
-
-// RecordFallback notes one run that requested the parallel engine but
-// executed sequentially, with the reason (e.g. "zero lookahead",
-// "offloading degree 2").
-func (c *StatsCollector) RecordFallback(reason string) {
-	if c == nil {
-		return
-	}
-	c.fallbacks.Add(1)
-	c.fallbackMu.Lock()
-	if c.fallbackWhy == nil {
-		c.fallbackWhy = make(map[string]uint64)
-	}
-	c.fallbackWhy[reason]++
-	c.fallbackMu.Unlock()
-}
-
-// FallbackReasons returns the distinct sequential-fallback reasons seen
-// so far, sorted, each formatted "reason xN".
-func (c *StatsCollector) FallbackReasons() []string {
-	if c == nil {
-		return nil
-	}
-	c.fallbackMu.Lock()
-	defer c.fallbackMu.Unlock()
-	out := make([]string, 0, len(c.fallbackWhy))
-	for why, n := range c.fallbackWhy {
-		out = append(out, fmt.Sprintf("%s x%d", why, n))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RecordPartitions folds one parallel run's per-partition profile into
-// the collector, summing by partition index (MaxOutbox folds as a
-// maximum). Sequential runs record nothing.
-func (c *StatsCollector) RecordPartitions(parts []PartitionStats) {
-	if c == nil || len(parts) == 0 {
-		return
-	}
-	c.partMu.Lock()
-	defer c.partMu.Unlock()
-	for len(c.partStats) < len(parts) {
-		c.partStats = append(c.partStats, PartitionStats{Partition: len(c.partStats)})
-	}
-	for _, p := range parts {
-		t := &c.partStats[p.Partition]
-		t.Busy += p.Busy
-		t.BarrierWait += p.BarrierWait
-		t.Windows += p.Windows
-		t.StallWindows += p.StallWindows
-		t.OutboxStaged += p.OutboxStaged
-		if p.MaxOutbox > t.MaxOutbox {
-			t.MaxOutbox = p.MaxOutbox
-		}
-	}
-}
-
-// PartitionTotals returns a copy of the folded per-partition profile
-// (empty if no parallel run was recorded).
-func (c *StatsCollector) PartitionTotals() []PartitionStats {
-	if c == nil {
-		return nil
-	}
-	c.partMu.Lock()
-	defer c.partMu.Unlock()
-	return append([]PartitionStats(nil), c.partStats...)
 }
 
 // RecordRegistryHiWater folds one run's registry interval high-water
@@ -301,11 +163,6 @@ func (c *StatsCollector) Totals() RunTotals {
 		Wakes:           c.wakes.Load(),
 		PeakGoroutines:  c.peakGoro.Load(),
 		RegistryHiWater: c.regHiWater.Load(),
-		Partitions:      c.partitions.Load(),
-		Windows:         c.windows.Load(),
-		BarrierStalls:   c.stalls.Load(),
-		InboxEvents:     c.inbox.Load(),
-		Fallbacks:       c.fallbacks.Load(),
 		Host:            time.Duration(c.hostNS.Load()),
 	}
 }
