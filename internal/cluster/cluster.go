@@ -62,21 +62,6 @@ func (m NetModel) TransferTime(a, b int, size int64) simtime.Duration {
 	return d
 }
 
-// MinRemoteLatency returns the smallest possible transfer time between
-// two distinct nodes: the base latency, plus — when the topology model
-// is on — the per-hop cost of the closest cross-node distance (one tree
-// level up and one down, since two distinct nodes are at least one level
-// apart). This lower-bounds every cross-node message. Collective
-// completions are modelled per hop as Latency + size/bandwidth without
-// the TreeRadix surcharge (see simmpi.hopCost).
-func (m NetModel) MinRemoteLatency() simtime.Duration {
-	d := m.Latency
-	if m.TreeRadix > 1 && m.HopLatency > 0 {
-		d += 2 * m.HopLatency
-	}
-	return d
-}
-
 // treeLevels returns the number of fat-tree levels a message between a
 // and b must climb: 0 within a leaf switch, 1 between adjacent switches,
 // and so on up the radix-ary hierarchy.

@@ -168,57 +168,6 @@ func TestFatTreeHops(t *testing.T) {
 	}
 }
 
-func TestMinRemoteLatency(t *testing.T) {
-	flat := DefaultNet()
-	if got := flat.MinRemoteLatency(); got != flat.Latency {
-		t.Fatalf("flat MinRemoteLatency = %v, want %v", got, flat.Latency)
-	}
-	tree := NetModel{
-		Latency:    1000 * simtime.Nanosecond,
-		TreeRadix:  4,
-		HopLatency: 500 * simtime.Nanosecond,
-	}
-	// Closest distinct nodes share a leaf switch: one level up + down.
-	if got, want := tree.MinRemoteLatency(), 2000*simtime.Nanosecond; got != want {
-		t.Fatalf("tree MinRemoteLatency = %v, want %v", got, want)
-	}
-	// Radix without hop latency (and vice versa) degrades to the flat bound.
-	if got := (NetModel{Latency: 100, TreeRadix: 4}).MinRemoteLatency(); got != 100 {
-		t.Fatalf("radix-only MinRemoteLatency = %v, want 100", got)
-	}
-	if got := (NetModel{Latency: 100, HopLatency: 50}).MinRemoteLatency(); got != 100 {
-		t.Fatalf("hop-only MinRemoteLatency = %v, want 100", got)
-	}
-	// Zero-latency model: no lookahead at all.
-	if got := (NetModel{}).MinRemoteLatency(); got != 0 {
-		t.Fatalf("zero-net MinRemoteLatency = %v, want 0", got)
-	}
-}
-
-// Property: MinRemoteLatency lower-bounds every remote transfer.
-func TestQuickMinRemoteLatencyIsLowerBound(t *testing.T) {
-	nets := []NetModel{
-		DefaultNet(),
-		{Latency: 700, TreeRadix: 4, HopLatency: 300},
-		{Latency: 700, BytesPerSecond: 1e9, TreeRadix: 2, HopLatency: 90},
-	}
-	f := func(aRaw, bRaw uint8, size uint32) bool {
-		a, b := int(aRaw)%64, int(bRaw)%64
-		if a == b {
-			return true
-		}
-		for _, net := range nets {
-			if net.TransferTime(a, b, int64(size)) < net.MinRemoteLatency() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloneIsolatesMutation(t *testing.T) {
 	proto := New(4, 8, DefaultNet())
 	c := proto.Clone()
