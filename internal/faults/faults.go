@@ -125,6 +125,19 @@ func (p *Plan) Bind(runSeed int64) *Plan {
 	return &b
 }
 
+// anySize stands for a machine of unknown size: Parse validates against
+// it, so only the machine-independent parts of the contract (and
+// negative node or apprank ids) can fail there.
+const anySize = int(^uint(0) >> 1)
+
+// rangeError reports id outside [0,n) for the given field.
+func rangeError(kind Kind, field string, id, n int) error {
+	if n == anySize {
+		return fmt.Errorf("%s: %s %d is negative", kind, field, id)
+	}
+	return fmt.Errorf("%s: %s %d out of range [0,%d)", kind, field, id, n)
+}
+
 // Validate checks the per-kind field contract against a machine of
 // numNodes nodes and numAppranks appranks.
 func (p *Plan) Validate(numNodes, numAppranks int) error {
@@ -158,7 +171,7 @@ func (ev Event) validate(numNodes, numAppranks int) error {
 	}
 	needNode := ev.Kind != Stall
 	if needNode && (ev.Node < 0 || ev.Node >= numNodes) {
-		return fmt.Errorf("%s: node %d out of range [0,%d)", ev.Kind, ev.Node, numNodes)
+		return rangeError(ev.Kind, "node", ev.Node, numNodes)
 	}
 	switch ev.Kind {
 	case Slow:
@@ -181,7 +194,7 @@ func (ev Event) validate(numNodes, numAppranks int) error {
 		}
 	case Stall:
 		if ev.Apprank < 0 || ev.Apprank >= numAppranks {
-			return fmt.Errorf("stall: apprank %d out of range [0,%d)", ev.Apprank, numAppranks)
+			return rangeError(ev.Kind, "apprank", ev.Apprank, numAppranks)
 		}
 	}
 	return nil
@@ -271,8 +284,9 @@ func decodeStrict(data []byte, v any, validFields string) error {
 // Parse decodes a JSON fault plan. Field syntax is checked here —
 // errors name the offending event index and field, and unknown fields
 // are rejected so a typo ("nodeb" for "node_b") cannot silently arm a
-// different plan than the author wrote — while semantic checks against
-// a concrete machine happen in Validate.
+// different plan than the author wrote. Every plan Parse accepts also
+// passes Validate on a machine large enough for its node and apprank
+// ids; the range checks against a concrete machine happen there.
 func Parse(data []byte) (*Plan, error) {
 	// The envelope keeps events raw so each one can be decoded — and
 	// blamed — individually by index.
@@ -322,6 +336,9 @@ func Parse(data []byte) (*Plan, error) {
 			return nil, fmt.Errorf("faults: event %d: %w", i, err)
 		}
 		p.Events = append(p.Events, ev)
+	}
+	if err := p.Validate(anySize, anySize); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
