@@ -88,12 +88,12 @@ func (app *App) Submit(spec TaskSpec) {
 	if spec.Work < 0 {
 		panic(fmt.Sprintf("core: negative work %v", spec.Work))
 	}
-	app.apprank.graph.Submit(&nanos.Task{
-		Label:       spec.Label,
-		Work:        spec.Work,
-		Accesses:    spec.Accesses,
-		Offloadable: spec.Offloadable,
-	})
+	t := app.apprank.newTask()
+	t.Label = spec.Label
+	t.Work = spec.Work
+	t.Accesses = spec.Accesses
+	t.Offloadable = spec.Offloadable
+	app.apprank.graph.Submit(t)
 }
 
 // TaskWait blocks the main function until every task submitted so far by

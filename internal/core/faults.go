@@ -504,7 +504,7 @@ func (a *Apprank) reoffload(rec *offloadRec) {
 // helper under the scheduling threshold, then any healthy helper, and —
 // once the retry budget is spent or no helper survives — the home
 // worker, which can always execute the task locally.
-func (a *Apprank) pickHealthy(loc nanos.LocVec, attempt int) *Worker {
+func (a *Apprank) pickHealthy(loc *nanos.LocVec, attempt int) *Worker {
 	home := a.workers[0]
 	if attempt > a.rt.cfg.FaultRetryBudget {
 		return home

@@ -137,30 +137,35 @@ func (ns *nodeState) dispatch() {
 	if n == 0 {
 		return
 	}
+	// Both passes visit workers[rr:] and then workers[:rr]: the rotated
+	// order without a modulo per visit.
+	rot := [2][]*Worker{ns.workers[ns.rr:], ns.workers[:ns.rr]}
 	for changed := true; changed; {
 		changed = false
-		for k := 0; k < n; k++ {
-			w := ns.workers[(ns.rr+k)%n]
-			if w.dead || w.app.stalled {
-				continue
-			}
-			for w.queued.Len() > 0 && ns.arb.CanStartOwned(w.wid) {
-				w.start()
-				changed = true
+		for _, ws := range rot {
+			for _, w := range ws {
+				if w.dead || w.app.stalled {
+					continue
+				}
+				for w.queued.Len() > 0 && ns.arb.CanStartOwned(w.wid) {
+					w.start()
+					changed = true
+				}
 			}
 		}
-		for k := 0; k < n; k++ {
-			w := ns.workers[(ns.rr+k)%n]
-			if w.dead || w.app.stalled {
-				continue
-			}
-			// An idle lent core polls the apprank's central queue
-			// directly: this is how LeWI-borrowed cores keep receiving
-			// work beyond the owned-core threshold.
-			w.app.borrowRefill(w)
-			if w.queued.Len() > 0 && ns.arb.CanBorrow(w.wid) {
-				w.start()
-				changed = true
+		for _, ws := range rot {
+			for _, w := range ws {
+				if w.dead || w.app.stalled {
+					continue
+				}
+				// An idle lent core polls the apprank's central queue
+				// directly: this is how LeWI-borrowed cores keep
+				// receiving work beyond the owned-core threshold.
+				w.app.borrowRefill(w)
+				if w.queued.Len() > 0 && ns.arb.CanBorrow(w.wid) {
+					w.start()
+					changed = true
+				}
 			}
 		}
 	}

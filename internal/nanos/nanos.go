@@ -113,10 +113,12 @@ type Task struct {
 	// node (the paper's offloadable clause).
 	Offloadable bool
 
+	// announced sits next to Offloadable so the two bools share a word:
+	// the record is 128 bytes, two cache lines.
+	announced bool // readiness callback delivered
 	state     TaskState
 	ndeps     int     // unsatisfied dependencies
 	succs     []*Task // tasks depending on this one
-	announced bool    // readiness callback delivered
 	depMark   int64   // dedup marker: last task that added an edge to us
 	queryMark int64   // dedup marker: last writers() query that saw us
 
@@ -287,38 +289,77 @@ func (g *TaskGraph) Writers(r Region) []*Task {
 	return g.reg.writers(r)
 }
 
-// LocVec is a dense data-location vector: slot 0 counts bytes of unknown
-// location (never written, or whose writer has not started), slot n+1
-// counts bytes resident on node n. Node counts are small and fixed at
-// startup, so one vector per apprank is allocated once and reused for
-// every locality query — the scheduler's hot path allocates nothing.
-type LocVec []int64
+// LocVec is a data-location vector: the bytes of unknown location
+// (never written, or whose writer has not started) plus the bytes
+// resident on each node. The per-node counts sit in dense slots indexed
+// by node id, and the vector also lists the nodes whose slot is nonzero,
+// in first-touch order. A task's inputs were written by tasks of the
+// same apprank, so they sit on the few nodes that apprank runs on
+// however large the machine is; Reset and any walk over the resident
+// nodes cost O(nodes touched), not O(machine size). One vector per
+// apprank is allocated once and reused for every locality query — the
+// scheduler's hot path allocates nothing.
+type LocVec struct {
+	unknown int64
+	bytes   []int64 // bytes[n]: bytes resident on node n
+	nodes   []int32 // nodes with bytes[n] != 0, each once, first-touch order
+}
 
 // NewLocVec returns a zeroed vector with room for numNodes nodes.
-func NewLocVec(numNodes int) LocVec { return make(LocVec, numNodes+1) }
+func NewLocVec(numNodes int) *LocVec {
+	return &LocVec{bytes: make([]int64, numNodes), nodes: make([]int32, 0, numNodes)}
+}
 
-// Reset zeroes the vector for reuse.
-func (v LocVec) Reset() {
-	for i := range v {
-		v[i] = 0
+// Reset zeroes the vector for reuse, clearing only the slots touched
+// since the last Reset.
+func (v *LocVec) Reset() {
+	for _, n := range v.nodes {
+		v.bytes[n] = 0
 	}
+	v.nodes = v.nodes[:0]
+	v.unknown = 0
 }
 
 // Unknown returns the bytes whose location is unknown.
-func (v LocVec) Unknown() int64 { return v[0] }
+func (v *LocVec) Unknown() int64 { return v.unknown }
 
-// On returns the bytes resident on the given node; node -1 is unknown.
-func (v LocVec) On(node int) int64 { return v[node+1] }
+// On returns the bytes resident on the given node.
+func (v *LocVec) On(node int) int64 { return v.bytes[node] }
 
-// NumNodes returns the node capacity of the vector.
-func (v LocVec) NumNodes() int { return len(v) - 1 }
+// Nodes returns the nodes holding a nonzero byte count, each once, in
+// the order they were first added. The slice aliases the vector and is
+// valid until the next Reset.
+func (v *LocVec) Nodes() []int32 { return v.nodes }
+
+// add credits b > 0 bytes to node (-1 is unknown). A zero b would list
+// the node twice.
+func (v *LocVec) add(node int, b int64) {
+	if node < 0 {
+		v.unknown += b
+		return
+	}
+	if v.bytes[node] == 0 {
+		v.nodes = append(v.nodes, int32(node))
+	}
+	v.bytes[node] += b
+}
+
+// FoldUnknown moves the bytes of unknown location onto node, the way the
+// runtime treats data nobody has produced yet as resident at the
+// apprank's home.
+func (v *LocVec) FoldUnknown(node int) {
+	if v.unknown != 0 {
+		v.add(node, v.unknown)
+		v.unknown = 0
+	}
+}
 
 // DataLocationInto accumulates, for the read portions (In and InOut) of
 // the given accesses, the number of bytes currently residing on each node
 // into dst, which is reset first. This is the allocation-free form of
 // DataLocation the runtime uses for the locality-first scheduling
 // decision of §5.5 and for data-transfer cost estimation.
-func (g *TaskGraph) DataLocationInto(accesses []Access, dst LocVec) {
+func (g *TaskGraph) DataLocationInto(accesses []Access, dst *LocVec) {
 	dst.Reset()
 	for _, a := range accesses {
 		if a.Mode == Out {

@@ -297,9 +297,9 @@ func (r *registry) applyAccess(iv *interval, t *Task, mode AccessMode) {
 }
 
 // locationVec accumulates, into dst, the bytes of region reg residing on
-// each node according to the last writers: dst[0] counts bytes of unknown
-// location, dst[n+1] the bytes on node n. The walk allocates nothing.
-func (r *registry) locationVec(reg Region, dst LocVec) {
+// each node according to the last writers, and the bytes of unknown
+// location. The walk allocates nothing.
+func (r *registry) locationVec(reg Region, dst *LocVec) {
 	if reg.Start >= reg.End {
 		return
 	}
@@ -307,16 +307,16 @@ func (r *registry) locationVec(reg Region, dst LocVec) {
 	i := r.findFirst(pos)
 	for pos < reg.End {
 		if i == len(r.ivs) || r.ivs[i].start >= reg.End {
-			dst[0] += int64(reg.End - pos)
+			dst.unknown += int64(reg.End - pos)
 			return
 		}
 		iv := &r.ivs[i]
 		if iv.start > pos {
-			dst[0] += int64(iv.start - pos)
+			dst.unknown += int64(iv.start - pos)
 			pos = iv.start
 		}
 		end := min64(iv.end, reg.End)
-		dst[iv.liveNode()+1] += int64(end - pos)
+		dst.add(iv.liveNode(), int64(end-pos))
 		pos = end
 		r.cursor = i
 		i++

@@ -144,3 +144,33 @@ func BenchmarkQueuePingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkHeapHold is the classic hold model for the future-event heap:
+// 1500 pending timers (the heap size the Figure 8 sweep holds at 64
+// nodes), each firing and rescheduling itself a pseudo-random delay
+// ahead, so every op is one heap pop plus one push at steady size.
+func BenchmarkHeapHold(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEnv()
+	const pending = 1500
+	x := uint64(88172645463325252)
+	n := 0
+	var hold func()
+	hold = func() {
+		n++
+		if n > b.N {
+			return
+		}
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		e.Schedule(Duration(1+x%100000), hold)
+	}
+	for i := 0; i < pending; i++ {
+		e.Schedule(Duration(1+i*67%100000), hold)
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
