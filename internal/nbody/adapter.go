@@ -56,11 +56,12 @@ type ClusterSim struct {
 	cfg  AdapterConfig
 	traj *Trajectory
 
-	weights []float64 // per-body ORB weights from the last step
-
-	// The once-per-step ORB decomposition is cached for the other ranks.
-	// Its inputs are complete before any rank can reach it, so which rank
-	// computes it is unobservable.
+	// Count-weighted runs read each step's ORB decomposition from the
+	// trajectory. Time-weighted runs depend on node speeds, so they keep
+	// per-body weights from the last step and compute the decomposition
+	// once per step for all ranks. Its inputs are complete before any
+	// rank can reach it, so which rank computes it is unobservable.
+	weights   []float64      // per-body ORB weights from the last step
 	orbStep   int            // step the cached assignment belongs to
 	orbAssign []int          // cached ORB assignment
 	stepEnds  []simtime.Time // per-step completion times (rank 0)
@@ -75,19 +76,24 @@ func NewClusterSim(cfg AdapterConfig) *ClusterSim {
 	cs := &ClusterSim{
 		cfg:     cfg,
 		traj:    cfg.Trajectories.Get(cfg),
-		weights: make([]float64, cfg.Bodies),
 		orbStep: -1,
 	}
-	for i := range cs.weights {
-		cs.weights[i] = 1
+	if cfg.TimeWeights {
+		cs.weights = make([]float64, cfg.Bodies)
+		for i := range cs.weights {
+			cs.weights[i] = 1
+		}
 	}
 	return cs
 }
 
-// orb returns the ORB assignment for the given step, computing it once
-// per step (every rank would compute the identical replicated
-// decomposition) from the step's post-integration positions.
+// orb returns the ORB assignment for the given step: every rank would
+// compute the identical replicated decomposition from the step's
+// positions.
 func (cs *ClusterSim) orb(step, parts int) []int {
+	if !cs.cfg.TimeWeights {
+		return cs.traj.CountORB(step, parts)
+	}
 	if cs.orbStep != step {
 		pos, _ := cs.traj.Step(step)
 		cs.orbAssign = ORB(pos, cs.weights, parts)
@@ -116,22 +122,23 @@ func (cs *ClusterSim) Main() func(app *core.App) {
 				}
 			}
 			// Real physics: this rank's bodies' interaction counts from
-			// the trajectory. The rank also stamps its own bodies' ORB
-			// weights here, before the step's allgather, so the weights
-			// are complete — and identical regardless of post-collective
-			// wake order — by the time any rank computes the next step's
-			// decomposition.
+			// the trajectory. A time-weighted run also stamps its own
+			// bodies' ORB weights here, before the step's allgather, so
+			// the weights are complete — and identical regardless of
+			// post-collective wake order — by the time any rank computes
+			// the next step's decomposition.
 			_, counts := cs.traj.Step(step)
-			speed := 1.0 // count weights: division by 1 is exact
-			if cs.cfg.TimeWeights {
-				// Time-scaled: interaction count over the executing
-				// rank's home-node speed.
-				speed = app.NodeSpeed()
-			}
 			rankInteractions := 0
 			for _, i := range mine {
 				rankInteractions += counts[i]
-				cs.weights[i] = float64(counts[i]) / speed
+			}
+			if cs.cfg.TimeWeights {
+				// Interaction count over the executing rank's home-node
+				// speed.
+				speed := app.NodeSpeed()
+				for _, i := range mine {
+					cs.weights[i] = float64(counts[i]) / speed
+				}
 			}
 			// Tree construction runs as a non-offloadable task at home: it
 			// consumes the previous step's force outputs (pulling any

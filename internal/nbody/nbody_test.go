@@ -27,11 +27,12 @@ func TestRandomSphereProperties(t *testing.T) {
 func TestTreeAggregates(t *testing.T) {
 	s := NewRandomSphere(200, 2)
 	tr := s.BuildTree()
-	if tr.root.nbodies != 200 {
-		t.Fatalf("tree indexes %d bodies, want 200", tr.root.nbodies)
+	root := tr.cells[0]
+	if root.nbodies != 200 {
+		t.Fatalf("tree indexes %d bodies, want 200", root.nbodies)
 	}
-	if math.Abs(tr.root.mass-1) > 1e-9 {
-		t.Fatalf("root mass = %v, want 1", tr.root.mass)
+	if math.Abs(root.mass-1) > 1e-9 {
+		t.Fatalf("root mass = %v, want 1", root.mass)
 	}
 	// Root COM equals the mass-weighted mean position.
 	var com Vec3
@@ -39,8 +40,8 @@ func TestTreeAggregates(t *testing.T) {
 		com = com.Add(b.Pos.Scale(b.Mass))
 	}
 	for k := 0; k < 3; k++ {
-		if math.Abs(tr.root.com[k]-com[k]) > 1e-9 {
-			t.Fatalf("root COM = %v, want %v", tr.root.com, com)
+		if math.Abs(root.com[k]-com[k]) > 1e-9 {
+			t.Fatalf("root COM = %v, want %v", root.com, com)
 		}
 	}
 }
@@ -316,4 +317,42 @@ func partWeights(assign []int, weights []float64, parts int) []float64 {
 		out[p] += w
 	}
 	return out
+}
+
+// TestOpenBandAgreesWithExactCriterion probes squared distances at and
+// just beyond both edges of the opening band, and around the exact
+// threshold, over cell sizes and opening angles spanning many decades:
+// below the band the exact criterion must open the cell, above it it
+// must not.
+func TestOpenBandAgreesWithExactCriterion(t *testing.T) {
+	opens := func(twoHalf, theta, d2 float64) bool {
+		dist := math.Sqrt(d2)
+		return dist == 0 || twoHalf/dist >= theta
+	}
+	rng := rand.New(rand.NewSource(12))
+	thetas := []float64{-0.5, 0, 5e-324, 1e-160, 1e-3, 0.3, 0.5, 0.8, 2, 1e150}
+	for n := 0; n < 20000; n++ {
+		twoHalf := math.Ldexp(1+rng.Float64(), rng.Intn(200)-100)
+		theta := thetas[rng.Intn(len(thetas))]
+		if rng.Intn(2) == 0 {
+			theta = math.Ldexp(1+rng.Float64(), rng.Intn(40)-20)
+		}
+		lo, hi := openBand(twoHalf, theta)
+		if !(theta > 0) && (!math.IsInf(lo, -1) || !math.IsInf(hi, 1)) {
+			t.Fatalf("theta %g: band [%g, %g], want every distance decided exactly", theta, lo, hi)
+		}
+		r := twoHalf * twoHalf / (theta * theta)
+		for _, d2 := range []float64{
+			lo, math.Nextafter(lo, math.Inf(-1)), hi, math.Nextafter(hi, math.Inf(1)),
+			r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)), r * (1 - 1e-12), r * (1 + 1e-12),
+		} {
+			if d2 < 0 || math.IsInf(d2, 0) || math.IsNaN(d2) {
+				continue
+			}
+			if d2 < lo && !opens(twoHalf, theta, d2) || d2 > hi && opens(twoHalf, theta, d2) {
+				t.Fatalf("2·half %g theta %g d² %g: band [%g, %g] disagrees with the exact criterion",
+					twoHalf, theta, d2, lo, hi)
+			}
+		}
+	}
 }
