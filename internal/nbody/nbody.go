@@ -95,9 +95,16 @@ func NewRandomSphere(n int, seed int64) *System {
 // body at pos from a point mass m at q.
 func (s *System) accel(pos Vec3, m float64, q Vec3) Vec3 {
 	d := q.Sub(pos)
-	r2 := d.Dot(d) + s.Eps*s.Eps
+	return pull(d, d.Dot(d), s.Eps*s.Eps, s.G*m)
+}
+
+// pull returns the softened gravitational acceleration towards a point
+// mass at offset d, given d2 = d·d, the squared softening length eps2 and
+// gm = G·m.
+func pull(d Vec3, d2, eps2, gm float64) Vec3 {
+	r2 := d2 + eps2
 	inv := 1 / (r2 * math.Sqrt(r2))
-	return d.Scale(s.G * m * inv)
+	return d.Scale(gm * inv)
 }
 
 // DirectForce computes the exact O(n) acceleration on body i by direct
