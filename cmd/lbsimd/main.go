@@ -1,7 +1,7 @@
 // Command lbsimd serves the simulation experiments as a crash-safe job
-// service: submissions are content-addressed, sweeps checkpoint their
-// per-spec outcomes atomically, and a killed or drained server resumes
-// its queue on restart and produces byte-identical results.
+// service: submissions are content-addressed, sweeps append each
+// per-spec outcome to a checkpoint log, and a killed or drained server
+// resumes its queue on restart and produces byte-identical results.
 //
 // Usage:
 //
@@ -68,6 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	if queue.Quarantined != "" {
+		fmt.Fprintf(stderr, "lbsimd: queue file was corrupt; moved it to %s and started with an empty queue\n", queue.Quarantined)
+	}
 	cache := jobs.NewCache(filepath.Join(*stateDir, "cache"))
 	runner := jobs.NewRunner(queue, cache, *stateDir)
 	runner.Retries = *retries
@@ -103,6 +106,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	<-done
+	if err := queue.Close(); err != nil {
+		return fail(err)
+	}
 	fmt.Fprintf(stdout, "lbsimd: drained; state saved in %s\n", *stateDir)
 	return 0
 }

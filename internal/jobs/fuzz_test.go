@@ -3,6 +3,8 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -155,4 +157,90 @@ func reverseKeys(doc []byte) (out []byte, ok bool) {
 		return b.Bytes(), true
 	}
 	return doc, true
+}
+
+// FuzzOpenQueue opens arbitrary bytes as a queue file. No input may
+// panic or fail the open: it either loads (dropping a torn journal
+// tail) or is quarantined with its bytes moved aside intact and the
+// queue empty. Open, Close, reopen is a fixed point: the reopened queue
+// lists the same jobs, and the clean reopen and its Close leave the
+// single-line file byte for byte as the first Close wrote it.
+func FuzzOpenQueue(f *testing.F) {
+	if legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_queue.json")); err == nil {
+		f.Add(legacy)
+	}
+	snap := `{"next_id":3,"jobs":[{"id":"j1","spec":{"experiment":"fig8","scale":"quick","seed":1},"hash":"h1","state":"succeeded","attempts":1},` +
+		`{"id":"j2","spec":{"policy":"twolevel","faults":"storm"},"hash":"h2","state":"pending"}]}` + "\n"
+	delta := `{"next_id":3,"jobs":[{"id":"j2","spec":{"policy":"twolevel","faults":"storm"},"hash":"h2","state":"running"}]}` + "\n"
+	f.Add([]byte(snap))
+	f.Add([]byte(snap + delta))
+	f.Add([]byte(snap + delta[:40]))
+	f.Add([]byte(`{"next_id":0,"jobs":[{"id":"j1","state":"running"},{"id":"j1","state":"failed"}]}`))
+	f.Add([]byte(`{"jobs":[{"id":"j1","spec":{"faults":{ "name" : "x" }}}]} [] "tail"`))
+	f.Add([]byte(""))
+	f.Add([]byte("null"))
+	f.Add([]byte("[]"))
+	f.Add([]byte("{\"next_id\":"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "queue.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		q, err := OpenQueue(path)
+		if err != nil {
+			t.Fatalf("OpenQueue failed instead of loading or quarantining: %v", err)
+		}
+		if q.Quarantined != "" {
+			moved, err := os.ReadFile(q.Quarantined)
+			if err != nil || !bytes.Equal(moved, data) {
+				t.Fatalf("quarantined file holds %q (%v), want the original %q", moved, err, data)
+			}
+			if n := len(q.List()); n != 0 {
+				t.Fatalf("quarantined queue lists %d jobs", n)
+			}
+		}
+		jobs := q.List()
+		for _, j := range jobs {
+			if j.State == Running {
+				t.Fatalf("job %s still running after open", j.ID)
+			}
+		}
+		list, err := json.Marshal(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Count(closed, []byte{'\n'}) != 1 || closed[len(closed)-1] != '\n' {
+			t.Fatalf("closed queue file is not one line: %q", closed)
+		}
+
+		re, err := OpenQueue(path)
+		if err != nil || re.Quarantined != "" {
+			t.Fatalf("reopening the closed queue: %v, quarantined %q", err, re.Quarantined)
+		}
+		relist, err := json.Marshal(re.List())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(relist, list) {
+			t.Fatalf("reopened queue lists\n%s\nwant\n%s", relist, list)
+		}
+		if now, _ := os.ReadFile(path); !bytes.Equal(now, closed) {
+			t.Fatalf("a clean open rewrote the file:\n%q\nwas\n%q", now, closed)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := os.ReadFile(path); !bytes.Equal(again, closed) {
+			t.Fatalf("second Close wrote\n%q\nfirst wrote\n%q", again, closed)
+		}
+	})
 }

@@ -399,12 +399,15 @@ func TestResumeFromPartialCheckpointByteIdentical(t *testing.T) {
 		}
 	}
 	seeded := partial.Len()
+	partial.Close()
+	linesBefore := countLines(t, filepath.Join(dir, "partial.json"))
 
-	// Done fires for every completed spec, cached or fresh (so resumed
-	// runs keep refreshing the snapshot); the recompute count is the
-	// number of checkpoint misses.
+	// Done fires for every completed spec, cached or fresh; the
+	// recompute count is the number of checkpoint misses, and only the
+	// recomputed specs may be appended to the log.
 	recomputed := 0
 	reopened := OpenCheckpoint(filepath.Join(dir, "partial.json"))
+	defer reopened.Close()
 	sc2 := quickScale()
 	sc2.Parallel = 1 // sequential, so the miss counter needs no lock
 	sc2.Jobs = &experiments.JobHooks{
@@ -429,4 +432,18 @@ func TestResumeFromPartialCheckpointByteIdentical(t *testing.T) {
 		t.Fatalf("resume recomputed %d specs, want %d (seeded %d of %d)",
 			recomputed, len(indices)-seeded, seeded, len(indices))
 	}
+	if grown := countLines(t, filepath.Join(dir, "partial.json")) - linesBefore; grown != recomputed {
+		t.Fatalf("resume appended %d log lines, want %d (one per recomputed spec)", grown, recomputed)
+	}
+	full.Close()
+}
+
+// countLines returns the number of newline-terminated lines in a file.
+func countLines(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(data, []byte{'\n'})
 }

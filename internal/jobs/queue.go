@@ -1,8 +1,10 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -50,31 +52,53 @@ type Job struct {
 	SpecsDone int `json:"-"`
 }
 
-// Queue is the FIFO job queue, persisted atomically on every state
-// transition so a killed server restarts exactly where it stopped:
-// OpenQueue demotes Running back to Pending, and the job's checkpoint
+// Queue is the FIFO job queue. Its file is a JSON stream of queueFile
+// values: a snapshot, then one delta per state transition holding just
+// the changed job, each appended with a single write(2). A killed
+// server restarts exactly where it stopped: OpenQueue replays the
+// stream and demotes Running back to Pending, and the job's checkpoint
 // (keyed by spec hash, not job id) makes the re-run a resume.
+//
+// The snapshot is rewritten atomically (compacted) on open when the
+// file held deltas, a torn tail or a Running job; in Close; and while
+// serving, whenever the deltas outnumber the jobs — so the journal
+// stays O(jobs) long at an amortized O(1) cost per transition.
 type Queue struct {
-	path string
+	// Quarantined is the path a corrupt queue file was moved to by
+	// OpenQueue (the queue then starts empty), or "" if none was.
+	Quarantined string
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	order  []string // submission order; FIFO scheduling scans this
 	nextID int
+	// log is the journal that deltas are appended to.
+	log lineLog
+	// deltas counts the values appended since the last snapshot.
+	deltas int
 }
 
-// queueFile is the on-disk format.
+// queueFile is the on-disk format of both the snapshot (every job) and
+// a delta (the one changed job). Replay upserts jobs by ID, so one type
+// and one parser cover both, and a file holding just a snapshot — the
+// indented single-document format of earlier versions included — is
+// a journal with no deltas.
 type queueFile struct {
 	NextID int   `json:"next_id"`
 	Jobs   []Job `json:"jobs"`
 }
 
-// OpenQueue loads the queue persisted at path (a missing file is an
-// empty queue). Jobs found Running were interrupted by a crash or kill;
-// they are demoted to Pending — with their checkpoints intact — so the
-// runner resumes them.
+// OpenQueue loads the queue persisted at path (a missing or empty file
+// is an empty queue). Jobs found Running were interrupted by a crash or
+// kill; they are demoted to Pending — with their checkpoints intact —
+// so the runner resumes them. A torn journal tail (a kill mid-append)
+// is dropped. A snapshot that does not decode is moved aside to
+// path+".corrupt", named in Quarantined, and the queue starts empty:
+// checkpoints and cached results are keyed by spec hash, so
+// resubmissions still resume or hit. The error reports only I/O
+// failures.
 func OpenQueue(path string) (*Queue, error) {
-	q := &Queue{path: path, jobs: map[string]*Job{}, nextID: 1}
+	q := &Queue{jobs: map[string]*Job{}, nextID: 1, log: lineLog{path: path}}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return q, nil
@@ -82,20 +106,54 @@ func OpenQueue(path string) (*Queue, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f queueFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("jobs: queue file %s is corrupt: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	values, dirty := 0, false
+	for {
+		var f queueFile
+		err := dec.Decode(&f)
+		if err == io.EOF {
+			break
+		}
+		if err != nil && values == 0 {
+			q.Quarantined = path + ".corrupt"
+			if err := os.Rename(path, q.Quarantined); err != nil {
+				return nil, err
+			}
+			return q, nil
+		}
+		if err != nil {
+			dirty = true // a torn tail: drop it
+			break
+		}
+		values++
+		q.apply(f)
 	}
+	for _, j := range q.jobs {
+		if j.State == Running {
+			j.State = Pending
+			dirty = true
+		}
+	}
+	if dirty || values > 1 {
+		if err := q.compactLocked(); err != nil {
+			return nil, err
+		}
+	}
+	return q, nil
+}
+
+// apply replays one snapshot or delta: jobs are upserted by ID, new
+// IDs join the end of the submission order, and NextID is the latest
+// value's.
+func (q *Queue) apply(f queueFile) {
 	q.nextID = f.NextID
 	for i := range f.Jobs {
 		j := f.Jobs[i]
-		if j.State == Running {
-			j.State = Pending
+		if _, ok := q.jobs[j.ID]; !ok {
+			q.order = append(q.order, j.ID)
 		}
 		q.jobs[j.ID] = &j
-		q.order = append(q.order, j.ID)
 	}
-	return q, nil
 }
 
 // Submit appends a normalized spec with its content address and
@@ -103,16 +161,16 @@ func OpenQueue(path string) (*Queue, error) {
 func (q *Queue) Submit(spec Spec, hash string) (Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j := &Job{
-		ID:    fmt.Sprintf("j%d", q.nextID),
-		Spec:  spec,
-		Hash:  hash,
-		State: Pending,
+	id := fmt.Sprintf("j%d", q.nextID)
+	for q.jobs[id] != nil { // a damaged next_id must not reuse an ID
+		q.nextID++
+		id = fmt.Sprintf("j%d", q.nextID)
 	}
+	j := &Job{ID: id, Spec: spec, Hash: hash, State: Pending}
 	q.nextID++
 	q.jobs[j.ID] = j
 	q.order = append(q.order, j.ID)
-	if err := q.persistLocked(); err != nil {
+	if err := q.persistLocked(j); err != nil {
 		return Job{}, err
 	}
 	return *j, nil
@@ -129,7 +187,7 @@ func (q *Queue) ClaimNext() (Job, bool) {
 			continue
 		}
 		j.State = Running
-		q.persistLocked()
+		q.persistLocked(j)
 		return *j, true
 	}
 	return Job{}, false
@@ -146,7 +204,7 @@ func (q *Queue) SetState(id string, st State, errMsg string) {
 	}
 	j.State = st
 	j.Error = errMsg
-	q.persistLocked()
+	q.persistLocked(j)
 }
 
 // IncAttempts bumps the persisted attempt counter (one per started
@@ -159,7 +217,7 @@ func (q *Queue) IncAttempts(id string) int {
 		return 0
 	}
 	j.Attempts++
-	q.persistLocked()
+	q.persistLocked(j)
 	return j.Attempts
 }
 
@@ -170,7 +228,7 @@ func (q *Queue) MarkCacheHit(id string) {
 	if j, ok := q.jobs[id]; ok {
 		j.CacheHit = true
 		j.State = Succeeded
-		q.persistLocked()
+		q.persistLocked(j)
 	}
 }
 
@@ -185,7 +243,7 @@ func (q *Queue) CancelPending(id string) bool {
 	}
 	j.State = Canceled
 	j.Error = "canceled before start"
-	q.persistLocked()
+	q.persistLocked(j)
 	return true
 }
 
@@ -231,14 +289,53 @@ func (q *Queue) Counts() map[State]int {
 	return out
 }
 
-func (q *Queue) persistLocked() error {
+// persistLocked appends j's transition to the journal as one delta
+// line, and compacts once the deltas outnumber the jobs. Only the
+// append's error is returned: a failed compaction leaves a valid
+// journal and is retried on the next transition.
+func (q *Queue) persistLocked(j *Job) error {
+	line, err := json.Marshal(queueFile{NextID: q.nextID, Jobs: []Job{*j}})
+	if err != nil {
+		return err
+	}
+	if err := q.log.append(append(line, '\n')); err != nil {
+		return err
+	}
+	if q.deltas++; q.deltas > len(q.jobs) {
+		q.compactLocked()
+	}
+	return nil
+}
+
+// compactLocked atomically replaces the file with a one-line snapshot
+// of the whole queue and starts a new journal after it.
+func (q *Queue) compactLocked() error {
 	f := queueFile{NextID: q.nextID, Jobs: make([]Job, 0, len(q.order))}
 	for _, id := range q.order {
 		f.Jobs = append(f.Jobs, *q.jobs[id])
 	}
-	data, err := json.MarshalIndent(f, "", " ")
+	data, err := json.Marshal(f)
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(q.path, append(data, '\n'))
+	if err := writeFileAtomic(q.log.path, append(data, '\n')); err != nil {
+		return err
+	}
+	// The open journal is the replaced file; the next delta reopens.
+	q.log.close()
+	q.deltas = 0
+	return nil
+}
+
+// Close compacts the journal into a one-line snapshot and releases the
+// file handle; lbsimd calls it once the runner has drained. A later
+// transition reopens the journal.
+func (q *Queue) Close() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	err := q.compactLocked()
+	if cerr := q.log.close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -41,7 +41,7 @@ var (
 type Runner struct {
 	queue *Queue
 	cache *Cache
-	// ckptDir holds per-spec-hash checkpoint snapshots.
+	// ckptDir holds per-spec-hash checkpoint logs.
 	ckptDir string
 
 	// Retries is the attempt budget per job (default 3).
@@ -229,6 +229,9 @@ func (r *Runner) process(ctx context.Context, job Job) {
 			ckpt = OpenCheckpoint(ckptPath)
 			r.queue.SetProgress(job.ID, ckpt.Len())
 			res, cause = r.runOnce(ctx, job, ckpt)
+			// Every record went out in its own write(2), so a failed
+			// close loses nothing.
+			ckpt.Close()
 		}
 		switch {
 		case cause == nil:

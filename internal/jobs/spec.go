@@ -1,9 +1,8 @@
 // Package jobs is the crash-safe simulation service behind cmd/lbsimd:
 // a job spec with a canonical content address, a FIFO queue with
-// persisted states, a checkpointer that snapshots per-spec sweep
-// outcomes atomically so a killed server resumes and produces
-// byte-identical output, a content-addressed result cache, and an
-// HTTP/JSON server.
+// persisted states, a checkpointer that logs per-spec sweep outcomes
+// append-only so a killed server resumes and produces byte-identical
+// output, a content-addressed result cache, and an HTTP/JSON server.
 //
 // Everything leans on the simulator's determinism: a spec's result is a
 // pure function of its result-affecting fields (experiment, scale,
