@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,6 +19,39 @@ func twoNodeProblem(busyHome0, busyHelper0, busyHome1 float64) *Problem {
 			{Key: WorkerKey{1, 1}, Busy: busyHome1, Home: true},
 		},
 	}
+}
+
+// largestRemainder and apportion run the in-place roundings on fresh
+// buffers.
+func largestRemainder(raw []float64, total int) []int {
+	out := make([]int, len(raw))
+	largestRemainderInto(out, raw, total, make([]float64, len(raw)), make([]int, len(raw)))
+	return out
+}
+
+func apportion(raw []float64, total int) []int {
+	out := make([]int, len(raw))
+	apportionInto(out, raw, total, make([]float64, len(raw)), make([]int, len(raw)))
+	return out
+}
+
+// checkAllocation verifies alloc against p: >= 1 core per worker and
+// exact per-node sums.
+func checkAllocation(p *Problem, alloc Allocation) error {
+	v := new(view)
+	if err := v.index(p); err != nil {
+		return err
+	}
+	v.cores = make([]int, len(p.Workers))
+	for wi, w := range p.Workers {
+		c, ok := alloc[w.Key]
+		if !ok {
+			return fmt.Errorf("balance: worker %v missing from allocation", w.Key)
+		}
+		v.cores[wi] = c
+	}
+	_, err := v.allocation()
+	return err
 }
 
 func TestValidate(t *testing.T) {
@@ -41,6 +75,28 @@ func TestValidate(t *testing.T) {
 	}
 	if bad2.Validate() == nil {
 		t.Fatal("more workers than cores accepted")
+	}
+	for name, bad := range map[string]*Problem{
+		"duplicate node": {
+			Nodes:   []NodeInfo{{ID: 0, Cores: 2}, {ID: 0, Cores: 2}},
+			Workers: []WorkerLoad{{Key: WorkerKey{0, 0}, Home: true}},
+		},
+		"duplicate worker": {
+			Nodes:   []NodeInfo{{ID: 0, Cores: 2}},
+			Workers: []WorkerLoad{{Key: WorkerKey{0, 0}, Home: true}, {Key: WorkerKey{0, 0}}},
+		},
+		"node id span": {
+			Nodes:   []NodeInfo{{ID: 0, Cores: 1}, {ID: maxIDSpan, Cores: 1}},
+			Workers: []WorkerLoad{{Key: WorkerKey{0, 0}, Home: true}},
+		},
+		"apprank id span": {
+			Nodes:   []NodeInfo{{ID: 0, Cores: 2}},
+			Workers: []WorkerLoad{{Key: WorkerKey{-maxIDSpan, 0}, Home: true}, {Key: WorkerKey{0, 0}}},
+		},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -220,7 +276,7 @@ func TestGlobalSimplexAgreesWithFlow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d flow: %v", i, err)
 		}
-		simplexAlloc, err := GlobalPolicy{Incentive: 1e-6, UseSimplex: true}.Allocate(p)
+		simplexAlloc, _, _, err := oracleAllocate(p, 1e-6, true)
 		if err != nil {
 			t.Fatalf("case %d simplex: %v", i, err)
 		}
@@ -267,11 +323,11 @@ func TestQuickAllocationsValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := buildRandomProblem(rng)
 		la, err := LocalPolicy{}.Allocate(p)
-		if err != nil || p.checkAllocation(la) != nil {
+		if err != nil || checkAllocation(p, la) != nil {
 			return false
 		}
 		ga, err := GlobalPolicy{Incentive: 1e-6}.Allocate(p)
-		if err != nil || p.checkAllocation(ga) != nil {
+		if err != nil || checkAllocation(p, ga) != nil {
 			return false
 		}
 		return true
@@ -287,7 +343,7 @@ func TestQuickFlowSimplexObjectiveAgree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := buildRandomProblem(rng)
 		o1, err1 := GlobalPolicy{}.SolveObjective(p)
-		o2, err2 := GlobalPolicy{UseSimplex: true}.SolveObjective(p)
+		_, o2, _, err2 := oracleAllocate(p, 0, true)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -1,303 +1,224 @@
 package balance
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"ompsscluster/internal/flow"
-	"ompsscluster/internal/lp"
 )
 
 // GlobalPolicy is the global solver approach (§5.4.2). It gathers the
 // total work per apprank (busy-core averages summed over the apprank's
 // workers, offloaded work weighted by 1+Incentive) and minimises
 // max_a work_a/cores_a subject to the expander-graph adjacency, one core
-// per worker, and per-node capacity.
+// per worker, and per-node capacity. A policy built as a literal solves
+// each call in fresh buffers; NewGlobalPolicy's keeps them.
 type GlobalPolicy struct {
 	// Incentive is the own-node preference: offloaded busy cores are
 	// counted as (1+Incentive) of work, so the solver avoids offloading
 	// whenever it is free to. The paper uses 1e-6.
 	Incentive float64
-	// UseSimplex solves the subproblems with the simplex solver instead
-	// of min-cost flow. Results are equivalent; the flow solver is the
-	// default and the simplex path exists for cross-validation.
-	UseSimplex bool
+
+	v *view
 }
 
-// problemView is the indexed form of a Problem used by the solvers.
-type problemView struct {
-	p        *Problem
-	nodeIdx  map[int]int // node id -> index in p.Nodes
-	appranks []int       // sorted apprank ids
-	appIdx   map[int]int
-	workers  [][]int // apprank index -> worker indices (into p.Workers)
-	onNode   [][]int // node index -> worker indices
-	work     []float64
-
-	// Solver scratch: the bisection in solveT rebuilds the same-shaped
-	// flow network up to 60 times, so the graph and the demand/capacity
-	// buffers are allocated once per view and reused across rebuilds.
-	g     *flow.Graph
-	dbuf  []float64 // demands
-	cbuf  []float64 // residual capacities
-	webuf []int     // per-worker edge ids
+// NewGlobalPolicy returns a global policy with the given incentive that
+// reuses its view, flow network and buffers, and its returned
+// Allocation, across calls: a result is valid until the next call.
+// Copies share the buffers: use it from one goroutine at a time.
+func NewGlobalPolicy(incentive float64) GlobalPolicy {
+	return GlobalPolicy{Incentive: incentive, v: new(view)}
 }
 
-func buildView(p *Problem, incentive float64) *problemView {
-	v := &problemView{p: p, nodeIdx: map[int]int{}, appIdx: map[int]int{}}
-	for i, n := range p.Nodes {
-		v.nodeIdx[n.ID] = i
+// prepared validates and indexes p in the policy's view, and sums each
+// apprank's work, in p.Workers order, and each node's residual capacity.
+func (g GlobalPolicy) prepared(p *Problem) (*view, error) {
+	v := g.v
+	if v == nil {
+		v = new(view)
 	}
-	seen := map[int]bool{}
-	for _, w := range p.Workers {
-		if !seen[w.Key.Apprank] {
-			seen[w.Key.Apprank] = true
-			v.appranks = append(v.appranks, w.Key.Apprank)
-		}
+	if err := v.index(p); err != nil {
+		return nil, err
 	}
-	sort.Ints(v.appranks)
-	for i, a := range v.appranks {
-		v.appIdx[a] = i
+	v.work = resize(v.work, len(v.appranks))
+	for ai := range v.work {
+		v.work[ai] = 0
 	}
-	v.workers = make([][]int, len(v.appranks))
-	v.onNode = make([][]int, len(p.Nodes))
-	v.work = make([]float64, len(v.appranks))
-	for wi, w := range p.Workers {
-		ai := v.appIdx[w.Key.Apprank]
-		v.workers[ai] = append(v.workers[ai], wi)
-		ni := v.nodeIdx[w.Key.Node]
-		v.onNode[ni] = append(v.onNode[ni], wi)
+	for _, w := range v.p.Workers {
+		ai := v.appAt[w.Key.Apprank-v.appBase]
 		if w.Home {
 			v.work[ai] += w.Busy
 		} else {
-			v.work[ai] += w.Busy * (1 + incentive)
+			v.work[ai] += w.Busy * (1 + g.Incentive)
 		}
 	}
-	return v
-}
-
-// demands returns each apprank's core demand beyond the one-per-worker
-// floor at objective value t. The returned slice is the view's reusable
-// buffer: valid until the next demands call.
-func (v *problemView) demands(t float64) []float64 {
-	if v.dbuf == nil {
-		v.dbuf = make([]float64, len(v.appranks))
-	}
-	d := v.dbuf
-	for ai := range v.appranks {
-		base := float64(len(v.workers[ai]))
-		need := v.work[ai]/t - base
-		if need > 0 {
-			d[ai] = need
-		} else {
-			d[ai] = 0
-		}
-	}
-	return d
-}
-
-// residualCap returns each node's capacity beyond the one-per-worker
-// floor, in the view's reusable buffer (valid until the next call).
-func (v *problemView) residualCap() []float64 {
-	if v.cbuf == nil {
-		v.cbuf = make([]float64, len(v.p.Nodes))
-	}
-	caps := v.cbuf
+	v.caps = resize(v.caps, len(v.p.Nodes))
 	for ni, n := range v.p.Nodes {
-		caps[ni] = float64(n.Cores - len(v.onNode[ni]))
+		v.caps[ni] = float64(n.Cores - len(v.onNode[ni]))
 	}
-	return caps
+	return v, nil
 }
 
-// feasibleFlow reports whether the demands at t can be met, using max
-// flow: source -> apprank (demand), apprank -> node (adjacency), node ->
-// sink (residual capacity).
-func (v *problemView) feasibleFlow(t float64) bool {
-	demands := v.demands(t)
-	total := 0.0
-	for _, d := range demands {
-		total += d
+// Allocate runs the global policy.
+func (g GlobalPolicy) Allocate(p *Problem) (Allocation, error) {
+	v, err := g.prepared(p)
+	if err != nil {
+		return nil, err
 	}
+	v.minOffloadFlow(v.solveT())
+	v.roundAndFill()
+	return v.allocation()
+}
+
+// SolveObjective exposes the optimal max work/cores value (for tests and
+// the convergence analysis).
+func (g GlobalPolicy) SolveObjective(p *Problem) (float64, error) {
+	v, err := g.prepared(p)
+	if err != nil {
+		return 0, err
+	}
+	return v.solveT(), nil
+}
+
+// demands fills v.demand with each apprank's core demand beyond the
+// one-per-worker floor at objective value t, and returns their sum.
+func (v *view) demands(t float64) float64 {
+	v.demand = resize(v.demand, len(v.appranks))
+	total := 0.0
+	for ai := range v.appranks {
+		need := v.work[ai]/t - float64(len(v.workers[ai]))
+		if need > 0 {
+			v.demand[ai] = need
+		} else {
+			v.demand[ai] = 0
+		}
+		total += v.demand[ai]
+	}
+	return total
+}
+
+// feasTol is the max-flow shortfall a feasible t may leave.
+const feasTol = 1e-7
+
+// feasible reports whether the demands at t can be met, using max flow:
+// source -> apprank (demand), apprank -> node (adjacency), node -> sink
+// (residual capacity). When it is not, the flow's minimum cut is left
+// for cutBound.
+func (v *view) feasible(t float64) bool {
+	total := v.demands(t)
 	if total == 0 {
 		return true
 	}
-	g, src, sink, _ := v.buildFlowGraph(demands, false)
-	return g.MaxFlow(src, sink) >= total-1e-7
+	src, sink := v.buildFlowGraph(false)
+	v.flows++
+	return v.g.MaxFlow(src, sink) >= total-feasTol
 }
 
-// buildFlowGraph assembles the allocation network. When costed is true,
-// helper edges cost 1 and home edges cost 0. It returns the per-worker
-// edge ids. The graph and the edge-id slice are the view's reusable
-// scratch: both are valid until the next buildFlowGraph call.
-func (v *problemView) buildFlowGraph(demands []float64, costed bool) (g *flow.Graph, src, sink int, workerEdge []int) {
+// buildFlowGraph assembles the allocation network for v.demand in the
+// view's reusable graph, recording each worker's edge id in v.edge.
+// When costed is true, helper edges cost 1 and home edges cost 0.
+func (v *view) buildFlowGraph(costed bool) (src, sink int) {
 	nApp, nNode := len(v.appranks), len(v.p.Nodes)
 	if v.g == nil {
 		v.g = flow.NewGraph(nApp + nNode + 2)
 	} else {
 		v.g.Reinit(nApp + nNode + 2)
 	}
-	g = v.g
+	g := v.g
 	src = nApp + nNode
 	sink = src + 1
-	caps := v.residualCap()
-	for ai, d := range demands {
+	for ai, d := range v.demand {
 		if d > 0 {
 			g.AddEdge(src, ai, d, 0)
 		}
 	}
-	if cap(v.webuf) < len(v.p.Workers) {
-		v.webuf = make([]int, len(v.p.Workers))
-	}
-	workerEdge = v.webuf[:len(v.p.Workers)]
-	for i := range workerEdge {
-		workerEdge[i] = -1
-	}
+	v.edge = resize(v.edge, len(v.p.Workers))
 	for ai := range v.appranks {
 		for _, wi := range v.workers[ai] {
-			w := v.p.Workers[wi]
-			ni := v.nodeIdx[w.Key.Node]
+			ni := v.wNode[wi]
 			cost := 0.0
-			if costed && !w.Home {
+			if costed && !v.p.Workers[wi].Home {
 				cost = 1.0
 			}
-			workerEdge[wi] = g.AddEdge(ai, nApp+ni, caps[ni], cost)
+			v.edge[wi] = g.AddEdge(ai, nApp+ni, v.caps[ni], cost)
 		}
 	}
 	for ni := range v.p.Nodes {
-		g.AddEdge(nApp+ni, sink, caps[ni], 0)
+		g.AddEdge(nApp+ni, sink, v.caps[ni], 0)
 	}
-	return g, src, sink, workerEdge
+	return src, sink
 }
 
-// feasibleSimplex is the LP cross-validation of feasibleFlow.
-func (v *problemView) feasibleSimplex(t float64) bool {
-	nw := len(v.p.Workers)
-	prob := lp.NewProblem(nw)
-	// Node capacities: sum of C_w on node <= cores (C here excludes the
-	// floor of 1, so capacity is the residual).
-	caps := v.residualCap()
-	for ni := range v.p.Nodes {
-		coef := make([]float64, nw)
-		for _, wi := range v.onNode[ni] {
-			coef[wi] = 1
-		}
-		prob.AddConstraint(coef, lp.LE, caps[ni])
+// cutBound returns θ = work(S) / (|W_S| + cap(N(S)) + feasTol) for the
+// apprank set S on the source side of the minimum cut an infeasible
+// probe left, or 0 if S is empty. It is a Hall bound: at any t, the
+// appranks of S demand at least work(S)/t - |W_S| cores beyond their
+// floors, their neighbour nodes N(S) can take only cap(N(S)) of it, and
+// the max flow falls short by the difference. Below θ that shortfall
+// exceeds feasTol, so every t < θ is infeasible.
+func (v *view) cutBound() float64 {
+	for i := range v.mark {
+		v.mark[i] = -1
 	}
-	for ai, d := range v.demands(t) {
-		if d <= 0 {
+	work, denom := 0.0, feasTol
+	for ai := range v.appranks {
+		if !v.g.SourceSide(ai) {
 			continue
 		}
-		coef := make([]float64, nw)
+		work += v.work[ai]
 		for _, wi := range v.workers[ai] {
-			coef[wi] = 1
+			denom++
+			if ni := v.wNode[wi]; v.mark[ni] < 0 {
+				v.mark[ni] = 0
+				denom += v.caps[ni]
+			}
 		}
-		prob.AddConstraint(coef, lp.GE, d)
 	}
-	sol, err := prob.Solve()
-	return err == nil && sol.Status == lp.Optimal
+	return work / denom
 }
 
-// minOffloadSimplex solves the allocation at t with the simplex solver,
-// minimising offloaded cores. It returns per-worker extra cores (above
-// the floor of one).
-func (v *problemView) minOffloadSimplex(t float64) ([]float64, error) {
-	nw := len(v.p.Workers)
-	prob := lp.NewProblem(nw)
-	obj := make([]float64, nw)
-	for wi, w := range v.p.Workers {
-		if !w.Home {
-			obj[wi] = 1
-		}
+// minOffloadFlow solves the allocation at t with min-cost max flow into
+// v.extra (per-worker cores above the floor of one).
+func (v *view) minOffloadFlow(t float64) {
+	v.demands(t)
+	src, sink := v.buildFlowGraph(true)
+	v.g.MinCostMaxFlow(src, sink)
+	v.extra = resize(v.extra, len(v.p.Workers))
+	for wi, eid := range v.edge {
+		v.extra[wi] = v.g.Flow(eid)
 	}
-	prob.SetObjective(obj)
-	caps := v.residualCap()
-	for ni := range v.p.Nodes {
-		coef := make([]float64, nw)
-		for _, wi := range v.onNode[ni] {
-			coef[wi] = 1
-		}
-		prob.AddConstraint(coef, lp.LE, caps[ni])
-	}
-	for ai, d := range v.demands(t) {
-		if d <= 0 {
-			continue
-		}
-		coef := make([]float64, nw)
-		for _, wi := range v.workers[ai] {
-			coef[wi] = 1
-		}
-		prob.AddConstraint(coef, lp.GE, d)
-	}
-	sol, err := prob.Solve()
-	if err != nil {
-		return nil, err
-	}
-	return sol.X, nil
 }
 
-// minOffloadFlow solves the allocation at t with min-cost max flow.
-func (v *problemView) minOffloadFlow(t float64) []float64 {
-	demands := v.demands(t)
-	g, src, sink, workerEdge := v.buildFlowGraph(demands, true)
-	g.MinCostMaxFlow(src, sink)
-	x := make([]float64, len(v.p.Workers))
-	for wi, eid := range workerEdge {
-		if eid >= 0 {
-			x[wi] = g.Flow(eid)
-		}
-	}
-	return x
-}
+// Probe prediction parameters of solveT.
+const (
+	// maxProbes caps the bisection's steps, and the Newton steps.
+	maxProbes = 60
+	// cutBand is the relative half-width of the band around a cut's θ
+	// inside which a probe is settled by a real max flow: outside it the
+	// cut's Hall margin (below) or a feasible probe (above) decides.
+	cutBand = 1e-10
+)
 
-// Allocate runs the global policy.
-func (g GlobalPolicy) Allocate(p *Problem) (Allocation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	v := buildView(p, g.Incentive)
-	tStar := v.solveT(g.UseSimplex)
-	var extra []float64
-	if g.UseSimplex {
-		x, err := v.minOffloadSimplex(tStar)
-		if err != nil {
-			return nil, fmt.Errorf("balance: simplex allocation at t*=%v: %w", tStar, err)
-		}
-		extra = x
-	} else {
-		extra = v.minOffloadFlow(tStar)
-	}
-	alloc := v.roundAndFill(extra)
-	if err := p.checkAllocation(alloc); err != nil {
-		return nil, err
-	}
-	return alloc, nil
-}
-
-// SolveObjective exposes the optimal max work/cores value (for tests and
-// the convergence analysis).
-func (g GlobalPolicy) SolveObjective(p *Problem) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	v := buildView(p, g.Incentive)
-	return v.solveT(g.UseSimplex), nil
-}
-
-// solveT finds the minimal feasible t by bisection.
-func (v *problemView) solveT(useSimplex bool) float64 {
+// solveT finds the minimal feasible t. The result is bit for bit that
+// of a bisection from [lo, hi] that runs a max flow per probe; the flows
+// are mostly predicted instead.
+//
+// Newton steps on minimum cuts (Gallo, Grigoriadis and Tarjan's
+// parametric min cut) come first: from an infeasible t, the cut's θ
+// (cutBound) proves every t < θ infeasible, and a probe just above θ,
+// at θ(1+cutBand), either succeeds, proving every larger t feasible,
+// or fails with a cut of larger θ. A few steps pin the threshold to a
+// band of relative width 2·cutBand. The bisection then replays with the
+// same lo, hi and midpoints, running a max flow only for a midpoint
+// inside that band. If the steps stall (a cut that does not raise θ,
+// possible only through rounding), midpoints above the band also run a
+// real flow, so the result never rests on an unproven prediction.
+func (v *view) solveT() float64 {
 	totalWork := 0.0
 	for _, w := range v.work {
 		totalWork += w
 	}
 	if totalWork <= 1e-12 {
 		return 1 // any t; no demands
-	}
-	feasible := func(t float64) bool {
-		if useSimplex {
-			return v.feasibleSimplex(t)
-		}
-		return v.feasibleFlow(t)
 	}
 	// Upper bound: demands vanish when every apprank's work fits its
 	// one-core-per-worker floor.
@@ -314,14 +235,9 @@ func (v *problemView) solveT(useSimplex bool) float64 {
 	}
 	lo := totalWork / totalCores
 	for ai := range v.appranks {
-		reach := 0.0
-		seen := map[int]bool{}
+		reach := 0.0 // an apprank's workers are on distinct nodes
 		for _, wi := range v.workers[ai] {
-			id := v.p.Workers[wi].Key.Node
-			if !seen[id] {
-				seen[id] = true
-				reach += float64(v.p.Nodes[v.nodeIdx[id]].Cores)
-			}
+			reach += float64(v.p.Nodes[v.wNode[wi]].Cores)
 		}
 		if t := v.work[ai] / reach; t > lo {
 			lo = t
@@ -330,12 +246,40 @@ func (v *problemView) solveT(useSimplex bool) float64 {
 	if lo > hi {
 		lo = hi
 	}
-	if feasible(lo) {
+	if v.feasible(lo) {
 		return lo
 	}
-	for iter := 0; iter < 60 && hi-lo > 1e-9*hi; iter++ {
+	// tInf is the largest t a max flow found infeasible, tFeas the
+	// smallest it found feasible, and theta the largest cut bound.
+	tInf, tFeas := lo, math.Inf(1)
+	theta := v.cutBound()
+	for k := 1; k < maxProbes; k++ {
+		t := theta * (1 + cutBand)
+		if !(t > tInf) {
+			break // stalled
+		}
+		if v.feasible(t) {
+			tFeas = t
+			break
+		}
+		tInf = t
+		theta = math.Max(theta, v.cutBound())
+	}
+	for iter := 0; iter < maxProbes && hi-lo > 1e-9*hi; iter++ {
 		mid := 0.5 * (lo + hi)
-		if feasible(mid) {
+		var ok bool
+		switch {
+		case mid <= tInf || mid < theta*(1-cutBand):
+			ok = false
+		case mid >= tFeas:
+			ok = true
+		default:
+			// In the band, or above it after a stall. The bisection
+			// never probes outside (lo, hi) again, so this probe need
+			// not update tInf or tFeas.
+			ok = v.feasible(mid)
+		}
+		if ok {
 			hi = mid
 		} else {
 			lo = mid
@@ -344,53 +288,51 @@ func (v *problemView) solveT(useSimplex bool) float64 {
 	return hi
 }
 
-// roundAndFill converts fractional extra cores to an integer allocation.
+// roundAndFill converts v.extra to an integer allocation in v.cores.
 // Per node: every worker gets its floor of one core; the solved extras
 // are rounded with largest remainder; any remaining spare cores go to the
 // node's home workers, so a balanced load converges to home-owned nodes
 // with helpers at exactly one core (no spurious offloading, Figure 5(b)).
-func (v *problemView) roundAndFill(extra []float64) Allocation {
-	alloc := make(Allocation, len(v.p.Workers))
+func (v *view) roundAndFill() {
+	v.cores = resize(v.cores, len(v.p.Workers))
 	for ni, n := range v.p.Nodes {
 		wis := v.onNode[ni]
 		if len(wis) == 0 {
 			continue
 		}
+		v.roundingScratch(len(wis))
 		residual := n.Cores - len(wis)
-		raw := make([]float64, len(wis))
 		sumExtra := 0.0
 		for i, wi := range wis {
-			raw[i] = extra[wi]
-			sumExtra += extra[wi]
+			v.raw[i] = v.extra[wi]
+			sumExtra += v.extra[wi]
 		}
 		m := int(math.Round(sumExtra))
 		if m > residual {
 			m = residual
 		}
-		shares := apportion(raw, m)
-		spare := residual - m
+		apportionInto(v.shares, v.raw, m, v.frac, v.order)
+		for i, wi := range wis {
+			v.cores[wi] = 1 + v.shares[i]
+		}
 		// Spares go to home workers (evenly), falling back to every
 		// worker when the node hosts only helpers.
-		var homeRaw []float64
-		var homeIdx []int
-		for i, wi := range wis {
+		k := 0
+		for _, wi := range wis {
 			if v.p.Workers[wi].Home {
-				homeRaw = append(homeRaw, 1)
-				homeIdx = append(homeIdx, i)
+				v.pick[k] = wi
+				k++
 			}
 		}
-		if len(homeIdx) == 0 {
-			for i := range wis {
-				homeRaw = append(homeRaw, 1)
-				homeIdx = append(homeIdx, i)
-			}
+		if k == 0 {
+			k = copy(v.pick, wis)
 		}
-		for j, s := range apportion(homeRaw, spare) {
-			shares[homeIdx[j]] += s
+		for j := range v.pick[:k] {
+			v.raw[j] = 1
 		}
-		for i, wi := range wis {
-			alloc[v.p.Workers[wi].Key] = 1 + shares[i]
+		apportionInto(v.shares[:k], v.raw[:k], residual-m, v.frac[:k], v.order[:k])
+		for j, wi := range v.pick[:k] {
+			v.cores[wi] += v.shares[j]
 		}
 	}
-	return alloc
 }

@@ -244,13 +244,7 @@ func apportionInto(dst []int, raw []float64, total int, frac []float64, order []
 		order[i] = i
 		used += int(fl)
 	}
-	// Stable insertion sort by descending fractional part (n is the
-	// worker count of one apprank — tiny).
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && frac[order[j-1]] < frac[order[j]]; j-- {
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
+	sortByFracDesc(order, frac)
 	for i := 0; i < total-used; i++ {
 		dst[order[i%n]]++
 	}

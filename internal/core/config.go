@@ -84,8 +84,6 @@ type Config struct {
 	// Zero means the paper's default of 1e-6; a negative value disables
 	// the incentive entirely (for the ablation).
 	Incentive float64
-	// GlobalUseSimplex switches the global policy to the simplex solver.
-	GlobalUseSimplex bool
 	// GlobalPeriod is the global solver invocation period. Default 2s.
 	GlobalPeriod simtime.Duration
 	// GlobalPartition caps the number of nodes per solver group. The

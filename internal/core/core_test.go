@@ -475,34 +475,3 @@ func TestTaskWaitOnUnwrittenRegion(t *testing.T) {
 		t.Fatalf("TaskWaitOn on untouched region took %v", rt.Elapsed())
 	}
 }
-
-// TestSimplexPolicyMatchesFlowPolicy runs the same workload under the
-// flow-based and simplex-based global solvers: the elapsed times must be
-// close (the allocators find equally good optima in vivo).
-func TestSimplexPolicyMatchesFlowPolicy(t *testing.T) {
-	run := func(simplex bool) simtime.Duration {
-		rt := MustNew(Config{
-			Machine:          cluster.New(4, 8, cluster.DefaultNet()),
-			Degree:           3,
-			LeWI:             true,
-			DROM:             DROMGlobal,
-			GlobalPeriod:     30 * ms,
-			GlobalUseSimplex: simplex,
-			Seed:             5,
-		})
-		err := rt.Run(func(app *App) {
-			submitBatch(app, 30*(app.Rank()+1), 5*ms)
-			app.TaskWait()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rt.Elapsed()
-	}
-	flowT := run(false)
-	simplexT := run(true)
-	ratio := float64(simplexT) / float64(flowT)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("solver paths diverge: flow %v vs simplex %v", flowT, simplexT)
-	}
-}

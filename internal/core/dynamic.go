@@ -151,7 +151,7 @@ func (rt *ClusterRuntime) addHelper(a *Apprank, node int) *Worker {
 		panic(fmt.Sprintf("core: apprank %d already has a worker on node %d", a.id, node))
 	}
 	ns := rt.nodes[node]
-	w := &Worker{app: a, ns: ns, wid: ns.arb.AddWorker()}
+	w := &Worker{app: a, ns: ns, wid: ns.arb.AddWorker(), talp: rt.talp.Ref(a.id, node)}
 	ns.workers = append(ns.workers, w)
 	a.workers = append(a.workers, w)
 	rt.cfg.Obs.RegisterWorker(node, int(w.wid), a.id)

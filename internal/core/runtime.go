@@ -156,6 +156,11 @@ func (rt *ClusterRuntime) finishConstruction() error {
 		ids[i] = i
 	}
 	rt.talp.Preallocate(ids, len(rt.nodes))
+	for _, a := range rt.appranks {
+		for _, w := range a.workers {
+			w.talp = rt.talp.Ref(a.id, w.ns.id)
+		}
+	}
 	if rt.cfg.POP {
 		if rt.cfg.POPWindow > 0 {
 			rt.talp.SetWindow(rt.cfg.POPWindow)
@@ -231,6 +236,7 @@ func (rt *ClusterRuntime) installInitialOwnership() {
 }
 
 // installPolicies arms the periodic DROM policy and the trace sampler.
+// The built-in policies keep their solver buffers across ticks.
 func (rt *ClusterRuntime) installPolicies() {
 	cfg := rt.cfg
 	if cfg.CustomPolicy != nil {
@@ -248,12 +254,13 @@ func (rt *ClusterRuntime) installPolicies() {
 	}
 	switch cfg.DROM {
 	case DROMLocal:
+		pol := balance.NewLocalPolicy()
 		rt.env.Periodic(cfg.LocalPeriod, cfg.LocalPeriod, func() bool {
-			rt.runPolicy(balance.LocalPolicy{})
+			rt.runPolicy(pol)
 			return rt.activeApps > 0 || !rt.started
 		})
 	case DROMGlobal:
-		pol := balance.GlobalPolicy{Incentive: cfg.Incentive, UseSimplex: cfg.GlobalUseSimplex}
+		pol := balance.NewGlobalPolicy(cfg.Incentive)
 		rt.env.Periodic(cfg.GlobalPeriod, cfg.GlobalPeriod, func() bool {
 			rt.runGlobalPartitioned(pol)
 			return rt.activeApps > 0 || !rt.started
@@ -267,14 +274,14 @@ func (rt *ClusterRuntime) installPolicies() {
 	}
 }
 
-// runPolicy gathers busy averages (exponentially smoothed, standing in
-// for the paper's long measurement horizon), solves the allocation, and
-// applies it via DROM on every node.
-func (rt *ClusterRuntime) runPolicy(pol Allocator) {
+// measure gathers busy averages (exponentially smoothed, standing in for
+// the paper's long measurement horizon) of the live workers on grp's
+// live nodes into a policy problem.
+func (rt *ClusterRuntime) measure(grp []*nodeState) *balance.Problem {
 	now := rt.env.Now()
 	alpha := rt.cfg.BusyEMA
 	prob := &balance.Problem{}
-	for _, ns := range rt.nodes {
+	for _, ns := range grp {
 		if ns.dead || ns.liveWorkers() == 0 {
 			continue // crashed or fully drained: nothing to allocate
 		}
@@ -292,34 +299,53 @@ func (rt *ClusterRuntime) runPolicy(pol Allocator) {
 			})
 		}
 	}
-	rt.stats.PolicyRuns++
-	alloc, err := pol.Allocate(prob)
-	if err != nil {
-		panic(fmt.Sprintf("core: policy failed at %v: %v", now, err))
-	}
-	for _, ns := range rt.nodes {
+	return prob
+}
+
+// applyOwnership installs an allocation on grp's live nodes via DROM
+// (dead workers, and workers the allocation does not name, get none).
+// With reconcile, each node's share is first adjusted to its core count
+// as of now. Then queued work is pulled and grp dispatched, as capacity
+// changed.
+func (rt *ClusterRuntime) applyOwnership(grp []*nodeState, alloc balance.Allocation, reconcile bool) {
+	for _, ns := range grp {
 		if ns.dead || ns.liveWorkers() == 0 {
 			continue
 		}
 		owned := make([]int, len(ns.workers))
 		for i, w := range ns.workers {
-			if w.dead {
-				continue // retired workers keep zero ownership
+			if !w.dead {
+				owned[i] = alloc[balance.WorkerKey{Apprank: w.app.id, Node: ns.id}]
 			}
-			owned[i] = alloc[balance.WorkerKey{Apprank: w.app.id, Node: ns.id}]
-			if owned[i] != ns.arb.Owned(w.wid) {
+		}
+		if reconcile {
+			reconcileOwned(owned, ns.workers, ns.arb.Cores())
+		}
+		for i, w := range ns.workers {
+			if !w.dead && owned[i] != ns.arb.Owned(w.wid) {
 				rt.stats.OwnershipChanges++
 			}
 		}
 		ns.arb.SetOwned(owned)
 	}
-	// Capacity changed: pull queued work and dispatch everywhere.
 	for _, a := range rt.appranks {
 		a.refillAll()
 	}
-	for _, ns := range rt.nodes {
+	for _, ns := range grp {
 		ns.scheduleDispatch()
 	}
+}
+
+// runPolicy measures every node, solves the allocation, and applies it
+// on every node.
+func (rt *ClusterRuntime) runPolicy(pol Allocator) {
+	prob := rt.measure(rt.nodes)
+	rt.stats.PolicyRuns++
+	alloc, err := pol.Allocate(prob)
+	if err != nil {
+		panic(fmt.Sprintf("core: policy failed at %v: %v", rt.env.Now(), err))
+	}
+	rt.applyOwnership(rt.nodes, alloc, false)
 }
 
 // solverGroups partitions the nodes into contiguous groups of at most
@@ -357,31 +383,14 @@ func (rt *ClusterRuntime) solveCost(n int) simtime.Duration {
 // runGlobalPartitioned measures each solver group now and applies its
 // allocation after the modelled solve delay. Groups solve independently
 // (in parallel, on separate nodes, as the paper suggests), so each pays
-// only its own group's solve time.
+// only its own group's solve time. The problem was measured before the
+// delay; a core-loss or drain fault may have changed a node in the
+// meantime, so the allocation is reconciled to the node's core count as
+// of the apply (a no-op on fault-free runs).
 func (rt *ClusterRuntime) runGlobalPartitioned(pol balance.GlobalPolicy) {
-	now := rt.env.Now()
-	alpha := rt.cfg.BusyEMA
 	for _, grp := range rt.solverGroups() {
 		grp := grp
-		prob := &balance.Problem{}
-		for _, ns := range grp {
-			if ns.dead || ns.liveWorkers() == 0 {
-				continue
-			}
-			prob.Nodes = append(prob.Nodes, balance.NodeInfo{ID: ns.id, Cores: ns.arb.Cores()})
-			for _, w := range ns.workers {
-				if w.dead {
-					continue
-				}
-				sample := ns.arb.TakeBusyAverage(w.wid, now)
-				w.busySmooth = alpha*sample + (1-alpha)*w.busySmooth
-				prob.Workers = append(prob.Workers, balance.WorkerLoad{
-					Key:  balance.WorkerKey{Apprank: w.app.id, Node: ns.id},
-					Busy: w.busySmooth,
-					Home: w.isHome(),
-				})
-			}
-		}
+		prob := rt.measure(grp)
 		if len(prob.Nodes) == 0 {
 			continue
 		}
@@ -391,35 +400,7 @@ func (rt *ClusterRuntime) runGlobalPartitioned(pol balance.GlobalPolicy) {
 			if err != nil {
 				panic(fmt.Sprintf("core: global policy failed at %v: %v", rt.env.Now(), err))
 			}
-			for _, ns := range grp {
-				if ns.dead || ns.liveWorkers() == 0 {
-					continue
-				}
-				owned := make([]int, len(ns.workers))
-				for i, w := range ns.workers {
-					if w.dead {
-						continue
-					}
-					owned[i] = alloc[balance.WorkerKey{Apprank: w.app.id, Node: ns.id}]
-				}
-				// The problem was measured before the modelled solve delay;
-				// a core-loss or drain fault may have changed the node in
-				// the meantime, leaving a stale total. Reconcile to the
-				// node's core count as of now (no-op on fault-free runs).
-				reconcileOwned(owned, ns.workers, ns.arb.Cores())
-				for i, w := range ns.workers {
-					if !w.dead && owned[i] != ns.arb.Owned(w.wid) {
-						rt.stats.OwnershipChanges++
-					}
-				}
-				ns.arb.SetOwned(owned)
-			}
-			for _, a := range rt.appranks {
-				a.refillAll()
-			}
-			for _, ns := range grp {
-				ns.scheduleDispatch()
-			}
+			rt.applyOwnership(grp, alloc, true)
 		}
 		if cost := rt.solveCost(len(grp)); cost > 0 {
 			rt.env.Schedule(cost, apply)

@@ -20,7 +20,8 @@ type Worker struct {
 	queued     taskFIFO // runnable, waiting for a core
 	inflight   int      // assigned, input data still in transit
 	running    int
-	busySmooth float64 // exponentially smoothed busy-core average
+	busySmooth float64     // exponentially smoothed busy-core average
+	talp       dlb.CellRef // TALP (apprank, node) cell, set once TALP is sized
 
 	// Fault-plan state (zero on fault-free runs): a dead worker's node
 	// runtime died (drain/crash); epoch stamps in-flight completion
@@ -86,7 +87,7 @@ func (w *Worker) start() {
 	// work at this node's speed) and runtime overhead (the fixed and
 	// fractional model terms), attributed to the (apprank, node) cell.
 	useful := float64(rt.cfg.Machine.ExecTime(w.ns.id, t.Work))
-	rt.talp.AddExec(w.app.id, w.ns.id, now, now+simtime.Time(exec),
+	rt.talp.AddExec(w.talp, now, now+simtime.Time(exec),
 		useful, float64(exec)-useful, borrowed)
 	// A pooled continuation record instead of a per-task closure (see
 	// continuations.go).

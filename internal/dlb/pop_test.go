@@ -203,8 +203,9 @@ func TestAddExecWindowedConserves(t *testing.T) {
 	talp := NewTALP()
 	talp.Preallocate([]int{0}, 2)
 	talp.SetWindow(10)
-	talp.AddExec(0, 1, 5, 25, 100, 4, false)
-	talp.AddExec(0, 1, 20, 30, 50, 2, true)
+	ref := talp.Ref(0, 1)
+	talp.AddExec(ref, 5, 25, 100, 4, false)
+	talp.AddExec(ref, 20, 30, 50, 2, true)
 	var sum float64
 	for _, v := range talp.WindowUseful(0, 1) {
 		sum += v
@@ -223,8 +224,9 @@ func TestAddExecWindowedConserves(t *testing.T) {
 func TestAddExecZeroAlloc(t *testing.T) {
 	talp := NewTALP()
 	talp.Preallocate([]int{0, 1}, 4)
+	ref := talp.Ref(1, 3)
 	if allocs := testing.AllocsPerRun(200, func() {
-		talp.AddExec(1, 3, 0, 10, 8, 1, false)
+		talp.AddExec(ref, 0, 10, 8, 1, false)
 	}); allocs != 0 {
 		t.Errorf("AddExec allocates %v objects/op, want 0", allocs)
 	}
@@ -233,8 +235,12 @@ func TestAddExecZeroAlloc(t *testing.T) {
 func BenchmarkAddExec(b *testing.B) {
 	talp := NewTALP()
 	talp.Preallocate([]int{0, 1, 2, 3}, 4)
+	var refs [4]CellRef
+	for i := range refs {
+		refs[i] = talp.Ref(i, i)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		talp.AddExec(i&3, i&3, simtime.Time(i), simtime.Time(i+10), 8, 1, i&1 == 0)
+		talp.AddExec(refs[i&3], simtime.Time(i), simtime.Time(i+10), 8, 1, i&1 == 0)
 	}
 }

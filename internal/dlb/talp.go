@@ -65,9 +65,6 @@ func (t *TALP) SetWindow(w simtime.Duration) {
 // (0 when the windowed series is disabled).
 func (t *TALP) Window() float64 { return t.window }
 
-// NumNodes returns the per-apprank cell count.
-func (t *TALP) NumNodes() int { return t.numNodes }
-
 func (t *TALP) app(apprank int) *talpApp {
 	a, ok := t.apps[apprank]
 	if !ok {
@@ -93,29 +90,31 @@ func (t *TALP) StartApp(apprank int, now simtime.Time) {
 	t.app(apprank).started = now
 }
 
-// cell returns the (apprank, node) accumulator, growing the cell vector
-// for out-of-topology nodes (legacy callers that skip Preallocate).
-func (t *TALP) cell(apprank, node int) *talpCell {
-	a := t.app(apprank)
-	if node >= len(a.cells) {
-		grown := make([]talpCell, node+1)
-		copy(grown, a.cells)
-		a.cells = grown
-		if node >= t.numNodes {
-			t.numNodes = node + 1
-		}
-	}
-	return &a.cells[node]
+// CellRef is a handle on one (apprank, node) accumulator cell, resolved
+// once by Ref so that the per-task AddExec does no lookup.
+type CellRef struct {
+	c *talpCell
 }
 
-// AddExec accounts one task execution of apprank on node over the
-// virtual span [start, end): useful core-nanoseconds of compute plus
-// overhead core-nanoseconds of runtime cost, flagged if the execution
-// ran on a borrowed (LeWI) core. With a window configured the useful
-// time is also spread across the overlapping windows in proportion to
-// the overlap.
-func (t *TALP) AddExec(apprank, node int, start, end simtime.Time, useful, overhead float64, borrowed bool) {
-	c := t.cell(apprank, node)
+// Ref returns the handle of the (apprank, node) cell. The node must lie
+// in the topology the apprank's cells were sized for (Preallocate): the
+// cells never move after that, so the handle stays valid for the run.
+func (t *TALP) Ref(apprank, node int) CellRef {
+	a := t.app(apprank)
+	if node < 0 || node >= len(a.cells) {
+		panic(fmt.Sprintf("dlb: TALP cell (%d, %d) outside the %d-node topology", apprank, node, len(a.cells)))
+	}
+	return CellRef{&a.cells[node]}
+}
+
+// AddExec accounts one task execution into the cell ref names (the
+// task's apprank and executing node) over the virtual span [start,
+// end): useful core-nanoseconds of compute plus overhead core-nanoseconds
+// of runtime cost, flagged if the execution ran on a borrowed (LeWI)
+// core. With a window configured the useful time is also spread across
+// the overlapping windows in proportion to the overlap.
+func (t *TALP) AddExec(ref CellRef, start, end simtime.Time, useful, overhead float64, borrowed bool) {
+	c := ref.c
 	c.useful += useful
 	c.overhead += overhead
 	if borrowed {
@@ -168,7 +167,7 @@ func growWins(wins []float64, i int) []float64 {
 // into its first cell. Legacy entry point; the runtime reports through
 // AddExec.
 func (t *TALP) AddUseful(apprank int, coreNanos float64) {
-	t.cell(apprank, 0).useful += coreNanos
+	t.app(apprank).cells[0].useful += coreNanos
 }
 
 // AddMPI accumulates nanoseconds spent in MPI calls by apprank's main.
@@ -227,14 +226,6 @@ func (t *TALP) WindowUseful(apprank, node int) []float64 {
 func (t *TALP) MPITime(apprank int) float64 {
 	if a, ok := t.apps[apprank]; ok {
 		return a.mpi
-	}
-	return 0
-}
-
-// Started returns the recorded start time of apprank's main.
-func (t *TALP) Started(apprank int) simtime.Time {
-	if a, ok := t.apps[apprank]; ok {
-		return a.started
 	}
 	return 0
 }

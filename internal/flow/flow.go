@@ -3,9 +3,10 @@
 // graphs with floating-point capacities.
 //
 // The balance package formulates the paper's global core-allocation
-// problem (§5.4.2) as a bisection over a feasibility flow problem:
-// appranks demand cores, nodes supply them, and edges exist only where the
-// expander graph permits. The min-cost variant expresses the own-node
+// problem (§5.4.2) as a search over a feasibility flow problem: appranks
+// demand cores, nodes supply them, and edges exist only where the
+// expander graph permits; an infeasible probe's minimum cut (SourceSide)
+// bounds the search. The min-cost variant expresses the own-node
 // incentive (offloaded cores cost 1, local cores cost 0).
 package flow
 
@@ -83,9 +84,6 @@ func (g *Graph) scratch() {
 	g.inQueue = g.inQueue[:g.n]
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge with the given capacity and per-unit cost,
 // returning an id usable with Flow after solving.
 func (g *Graph) AddEdge(from, to int, capacity, cost float64) int {
@@ -145,6 +143,11 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 	}
 	return total
 }
+
+// SourceSide reports whether node v lies on the source side of the
+// minimum cut the last MaxFlow left: whether v is reachable from the
+// source in the residual graph. Only valid right after MaxFlow.
+func (g *Graph) SourceSide(v int) bool { return g.level[v] >= 0 }
 
 // bfs builds the level graph; reports whether t is reachable.
 func (g *Graph) bfs(s, t int, level []int) bool {

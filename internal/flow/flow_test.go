@@ -253,3 +253,29 @@ func TestQuickMaxFlowCutBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSourceSideIsMinCut: after MaxFlow, the nodes reachable from the
+// source in the residual graph form a cut whose capacity is the flow.
+func TestSourceSideIsMinCut(t *testing.T) {
+	g := NewGraph(5)
+	caps := [][3]float64{{0, 1, 5}, {1, 4, 2}, {0, 2, 1}, {2, 3, 4}, {3, 4, 4}, {1, 3, 0.5}}
+	for _, c := range caps {
+		g.AddEdge(int(c[0]), int(c[1]), c[2], 0)
+	}
+	f := g.MaxFlow(0, 4)
+	want := []bool{true, true, false, false, false}
+	cut := 0.0
+	for v, w := range want {
+		if got := g.SourceSide(v); got != w {
+			t.Fatalf("SourceSide(%d) = %v, want %v", v, got, w)
+		}
+	}
+	for _, c := range caps {
+		if want[int(c[0])] && !want[int(c[1])] {
+			cut += c[2]
+		}
+	}
+	if !approx(cut, f) || !approx(f, 3.5) {
+		t.Fatalf("cut capacity %v, max flow %v, want both 3.5", cut, f)
+	}
+}

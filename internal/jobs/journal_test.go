@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // TestCheckpointLogTornTail cuts a checkpoint log at every byte offset
@@ -401,5 +402,50 @@ func TestSubmitSkipsIDsInUse(t *testing.T) {
 	}
 	if got := q.List(); len(got) != 3 || got[0].Hash != "h1" || got[1].Hash != "h2" || got[2].Hash != "h3" {
 		t.Fatalf("List = %+v", got)
+	}
+}
+
+// TestCloseLeavesCompactQueueAlone: closing a queue whose file already
+// is the one-line snapshot, with no transition since the open, leaves
+// the file's bytes, inode and mtime as they were; a legacy indented
+// snapshot still compacts on Close.
+func TestCloseLeavesCompactQueueAlone(t *testing.T) {
+	snapshot, _ := closedQueue(t)
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_queue.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, c := range []struct {
+		name      string
+		data      []byte
+		rewritten bool
+	}{{"compact", snapshot, false}, {"legacy", legacy, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "queue.json")
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chtimes(path, old, old); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := os.Stat(path)
+			q, err := OpenQueue(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Close(); err != nil {
+				t.Fatal(err)
+			}
+			after, _ := os.Stat(path)
+			data, _ := os.ReadFile(path)
+			kept := bytes.Equal(data, c.data) && os.SameFile(before, after) && after.ModTime().Equal(old)
+			if kept == c.rewritten {
+				t.Fatalf("Close rewrote the file: %v, want %v (now %q)", !kept, c.rewritten, data)
+			}
+			if n := countLines(t, path); n != 1 {
+				t.Fatalf("closed queue file has %d lines, want 1", n)
+			}
+		})
 	}
 }

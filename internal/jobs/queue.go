@@ -60,9 +60,10 @@ type Job struct {
 // (keyed by spec hash, not job id) makes the re-run a resume.
 //
 // The snapshot is rewritten atomically (compacted) on open when the
-// file held deltas, a torn tail or a Running job; in Close; and while
-// serving, whenever the deltas outnumber the jobs — so the journal
-// stays O(jobs) long at an amortized O(1) cost per transition.
+// file held deltas, a torn tail or a Running job; in Close, unless the
+// file already is the compact snapshot; and while serving, whenever the
+// deltas outnumber the jobs — so the journal stays O(jobs) long at an
+// amortized O(1) cost per transition.
 type Queue struct {
 	// Quarantined is the path a corrupt queue file was moved to by
 	// OpenQueue (the queue then starts empty), or "" if none was.
@@ -76,6 +77,9 @@ type Queue struct {
 	log lineLog
 	// deltas counts the values appended since the last snapshot.
 	deltas int
+	// compact is set while the file is one snapshot line with no delta
+	// after it: Close then has nothing to rewrite.
+	compact bool
 }
 
 // queueFile is the on-disk format of both the snapshot (every job) and
@@ -138,6 +142,10 @@ func OpenQueue(path string) (*Queue, error) {
 		if err := q.compactLocked(); err != nil {
 			return nil, err
 		}
+	} else {
+		// A clean single value is the compact snapshot unless it is
+		// the indented format of earlier versions.
+		q.compact = values == 1 && bytes.IndexByte(data, '\n') == len(data)-1
 	}
 	return q, nil
 }
@@ -294,6 +302,7 @@ func (q *Queue) Counts() map[State]int {
 // append's error is returned: a failed compaction leaves a valid
 // journal and is retried on the next transition.
 func (q *Queue) persistLocked(j *Job) error {
+	q.compact = false
 	line, err := json.Marshal(queueFile{NextID: q.nextID, Jobs: []Job{*j}})
 	if err != nil {
 		return err
@@ -324,16 +333,20 @@ func (q *Queue) compactLocked() error {
 	// The open journal is the replaced file; the next delta reopens.
 	q.log.close()
 	q.deltas = 0
+	q.compact = true
 	return nil
 }
 
-// Close compacts the journal into a one-line snapshot and releases the
-// file handle; lbsimd calls it once the runner has drained. A later
-// transition reopens the journal.
+// Close compacts the journal into a one-line snapshot, unless the file
+// already is one, and releases the file handle; lbsimd calls it once
+// the runner has drained. A later transition reopens the journal.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	err := q.compactLocked()
+	var err error
+	if !q.compact {
+		err = q.compactLocked()
+	}
 	if cerr := q.log.close(); err == nil {
 		err = cerr
 	}
