@@ -21,8 +21,12 @@ import (
 	"ompsscluster/internal/faults"
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
+
+// ImbalanceSamplePeriod is the period at which a traced run samples the
+// node imbalance (Figure 11's metric) into Config.Obs, and the grid on
+// which Figure 11 reads the sampled series back.
+const ImbalanceSamplePeriod = 50 * simtime.Millisecond
 
 // DROMMode selects the coarse-grained (ownership) policy.
 type DROMMode int
@@ -116,17 +120,11 @@ type Config struct {
 	// CtlMsgBytes is the size of offload control messages. Default 256.
 	CtlMsgBytes int64
 
-	// Recorder, when non-nil, captures busy/owned timelines and the
-	// node-imbalance series (SamplePeriod, default 50ms).
-	Recorder     *trace.Recorder
-	SamplePeriod simtime.Duration
-
 	// Obs, when non-nil, receives the structured runtime event stream
-	// (task lifecycle, messages, DLB ownership, scheduler decisions) for
-	// Chrome-trace export and metrics aggregation. When either Obs or
-	// Recorder is set the runtime routes the busy/owned timelines through
-	// the event stream, so the two views can never disagree; when both
-	// are nil the hot paths stay allocation-free.
+	// (task lifecycle, messages, DLB ownership, scheduler decisions) and
+	// keeps the busy/owned timelines it implies, and the runtime samples
+	// the node imbalance into it every ImbalanceSamplePeriod. When nil
+	// the hot paths stay allocation-free.
 	Obs *obs.Recorder
 
 	// EngineStats, when non-nil, receives the run's event-engine
@@ -254,9 +252,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CtlMsgBytes == 0 {
 		c.CtlMsgBytes = 256
-	}
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = 50 * simtime.Millisecond
 	}
 	if c.FaultRetryBudget == 0 {
 		c.FaultRetryBudget = 3

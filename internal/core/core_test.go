@@ -6,9 +6,9 @@ import (
 	"ompsscluster/internal/balance"
 	"ompsscluster/internal/cluster"
 	"ompsscluster/internal/nanos"
+	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simmpi"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
 
 const ms = simtime.Millisecond
@@ -204,14 +204,14 @@ func TestMPIInterop(t *testing.T) {
 }
 
 func TestGlobalPolicyShiftsOwnership(t *testing.T) {
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder(0)
 	rt := MustNew(Config{
 		Machine:      cluster.New(2, 4, cluster.DefaultNet()),
 		Degree:       2,
 		LeWI:         true,
 		DROM:         DROMGlobal,
 		GlobalPeriod: 50 * ms,
-		Recorder:     rec,
+		Obs:          rec,
 	})
 	err := rt.Run(func(app *App) {
 		if app.Rank() == 0 {

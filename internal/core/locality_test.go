@@ -5,19 +5,19 @@ import (
 
 	"ompsscluster/internal/cluster"
 	"ompsscluster/internal/nanos"
+	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
 
 // TestLocalitySchedulesNearData: a consumer task should execute on the
 // node where its producer wrote the data, when that worker has room.
 func TestLocalitySchedulesNearData(t *testing.T) {
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder(0)
 	rt := MustNew(Config{
-		Machine:  cluster.New(2, 4, cluster.DefaultNet()),
-		Degree:   2,
-		LeWI:     true,
-		Recorder: rec,
+		Machine: cluster.New(2, 4, cluster.DefaultNet()),
+		Degree:  2,
+		LeWI:    true,
+		Obs:     rec,
 	})
 	err := rt.Run(func(app *App) {
 		if app.Rank() != 0 {
@@ -131,12 +131,12 @@ func TestRemoteCompletionLatency(t *testing.T) {
 // TestBusyIntegralMatchesTaskTime: the sum of busy integrals across all
 // nodes equals the summed execution time of all tasks.
 func TestBusyIntegralMatchesTaskTime(t *testing.T) {
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder(0)
 	rt := MustNew(Config{
 		Machine:       cluster.New(2, 4, cluster.DefaultNet()),
 		Degree:        2,
 		LeWI:          true,
-		Recorder:      rec,
+		Obs:           rec,
 		OverheadFixed: simtime.Nanosecond, // negligible, non-zero to avoid default
 		OverheadFrac:  1e-12,
 	})

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"ompsscluster/internal/cluster"
+	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
 
 // multiSpecs builds a heavy app and a light app sharing the machine.
@@ -119,12 +119,12 @@ func TestMultiAppIsolatedWorlds(t *testing.T) {
 }
 
 func TestMultiAppTraceKeys(t *testing.T) {
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder(0)
 	var done [2]simtime.Time
 	rt, err := NewMulti(Config{
-		Machine:  cluster.New(2, 8, cluster.DefaultNet()),
-		LeWI:     true,
-		Recorder: rec,
+		Machine: cluster.New(2, 8, cluster.DefaultNet()),
+		LeWI:    true,
+		Obs:     rec,
 	}, multiSpecs(40, 40, &done))
 	if err != nil {
 		t.Fatal(err)

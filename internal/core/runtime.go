@@ -8,10 +8,8 @@ import (
 	"ompsscluster/internal/dlb"
 	"ompsscluster/internal/expander"
 	"ompsscluster/internal/metrics"
-	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simmpi"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
 
 // ClusterRuntime is one simulated execution of one or more
@@ -112,22 +110,9 @@ func newRuntime(cfg Config) (*ClusterRuntime, error) {
 		env:  simtime.NewEnv(),
 		talp: dlb.NewTALP(),
 	}
-	// Observability: when either view is requested, both are driven from
-	// the one event stream — the structured recorder emits, and a tap
-	// reconstructs the legacy busy/owned step series, so the Paraver/CSV
-	// exports and the Chrome/metrics exports can never disagree. When
-	// neither is requested, rt.cfg.Obs stays nil and every emit site is a
+	// A nil recorder ignores the clock, and every emit site is then a
 	// free nil check.
-	if rt.cfg.Obs != nil || rt.cfg.Recorder != nil {
-		if rt.cfg.Obs == nil {
-			rt.cfg.Obs = obs.NewRecorder(0) // tap-only: feed the trace, retain nothing
-		}
-		if rt.cfg.Recorder == nil {
-			rt.cfg.Recorder = trace.NewRecorder()
-		}
-		rt.cfg.Obs.BindClock(rt.env.Now)
-		rt.cfg.Obs.AddTap(obs.TraceTap(rt.cfg.Recorder))
-	}
+	rt.cfg.Obs.BindClock(rt.env.Now)
 	for n := 0; n < cfg.Machine.NumNodes(); n++ {
 		ns := &nodeState{
 			rt:  rt,
@@ -235,39 +220,32 @@ func (rt *ClusterRuntime) installInitialOwnership() {
 	}
 }
 
-// installPolicies arms the periodic DROM policy and the trace sampler.
-// The built-in policies keep their solver buffers across ticks.
+// installPolicies arms the periodic DROM policy and, for a traced run,
+// the imbalance sampler. The built-in policies keep their solver buffers
+// across ticks.
 func (rt *ClusterRuntime) installPolicies() {
 	cfg := rt.cfg
-	if cfg.CustomPolicy != nil {
+	switch {
+	case cfg.CustomPolicy != nil:
 		rt.env.Periodic(cfg.LocalPeriod, cfg.LocalPeriod, func() bool {
 			rt.runPolicy(cfg.CustomPolicy)
 			return rt.activeApps > 0 || !rt.started
 		})
-		if cfg.Recorder != nil {
-			rt.env.Periodic(cfg.SamplePeriod, cfg.SamplePeriod, func() bool {
-				rt.sampleImbalance()
-				return rt.activeApps > 0 || !rt.started
-			})
-		}
-		return
-	}
-	switch cfg.DROM {
-	case DROMLocal:
+	case cfg.DROM == DROMLocal:
 		pol := balance.NewLocalPolicy()
 		rt.env.Periodic(cfg.LocalPeriod, cfg.LocalPeriod, func() bool {
 			rt.runPolicy(pol)
 			return rt.activeApps > 0 || !rt.started
 		})
-	case DROMGlobal:
+	case cfg.DROM == DROMGlobal:
 		pol := balance.NewGlobalPolicy(cfg.Incentive)
 		rt.env.Periodic(cfg.GlobalPeriod, cfg.GlobalPeriod, func() bool {
 			rt.runGlobalPartitioned(pol)
 			return rt.activeApps > 0 || !rt.started
 		})
 	}
-	if cfg.Recorder != nil {
-		rt.env.Periodic(cfg.SamplePeriod, cfg.SamplePeriod, func() bool {
+	if cfg.Obs != nil {
+		rt.env.Periodic(ImbalanceSamplePeriod, ImbalanceSamplePeriod, func() bool {
 			rt.sampleImbalance()
 			return rt.activeApps > 0 || !rt.started
 		})
@@ -459,8 +437,7 @@ func reconcileOwned(owned []int, workers []*Worker, cores int) {
 // max over nodes of windowed busy load divided by the average.
 func (rt *ClusterRuntime) sampleImbalance() {
 	now := rt.env.Now()
-	w := rt.cfg.SamplePeriod
-	t0 := now - simtime.Time(w)
+	t0 := now - simtime.Time(ImbalanceSamplePeriod)
 	if t0 < 0 {
 		t0 = 0
 	}
@@ -468,13 +445,11 @@ func (rt *ClusterRuntime) sampleImbalance() {
 	for i, ns := range rt.nodes {
 		total := 0.0
 		for _, a := range rt.appranks {
-			total += rt.cfg.Recorder.Busy(ns.id, a.id).Average(t0, now)
+			total += rt.cfg.Obs.Busy(ns.id, a.id).Average(t0, now)
 		}
 		loads[i] = total
 	}
-	v := metrics.Imbalance(loads)
-	rt.cfg.Recorder.RecordCustom("node_imbalance", now, v)
-	rt.cfg.Obs.Imbalance(v)
+	rt.cfg.Obs.Imbalance(metrics.Imbalance(loads))
 }
 
 // sendCtl models a runtime control message from one node to another,

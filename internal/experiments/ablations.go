@@ -16,21 +16,12 @@ import (
 func ablationRun(sc Scale, nodes int, tweak func(*core.Config)) simtime.Duration {
 	m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synConfig(sc, 2.0), nodes, sc.CoresPerNode)
-	cfg := core.Config{
-		Machine:      m,
-		Degree:       4,
-		Graphs:       sc.Graphs,
-		EngineStats:  sc.Engine,
-		POP:          sc.POP,
-		POPWindow:    sc.POPWindow,
-		LeWI:         true,
-		DROM:         core.DROMGlobal,
-		GlobalPeriod: sc.GlobalPeriod,
-		LocalPeriod:  sc.LocalPeriod,
-		Seed:         sc.Seed,
-	}
-	tweak(&cfg)
-	rt := core.MustNew(cfg)
+	rc := sc.config(m)
+	rc.Degree = 4
+	rc.LeWI = true
+	rc.DROM = core.DROMGlobal
+	tweak(&rc)
+	rt := core.MustNew(rc)
 	if err := rt.Run(b.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: ablation run failed: %v", err))
 	}
@@ -153,20 +144,12 @@ func AblationIncentive(sc Scale) *Result {
 		nodes := min8(sc)
 		m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 		b := synthetic.New(synConfig(sc, 1.0), nodes, sc.CoresPerNode)
-		rt := core.MustNew(core.Config{
-			Machine:      m,
-			Degree:       4,
-			Graphs:       sc.Graphs,
-			EngineStats:  sc.Engine,
-			POP:          sc.POP,
-			POPWindow:    sc.POPWindow,
-			LeWI:         true,
-			DROM:         core.DROMGlobal,
-			GlobalPeriod: sc.GlobalPeriod,
-			LocalPeriod:  sc.LocalPeriod,
-			Seed:         sc.Seed,
-			Incentive:    incentive,
-		})
+		rc := sc.config(m)
+		rc.Degree = 4
+		rc.LeWI = true
+		rc.DROM = core.DROMGlobal
+		rc.Incentive = incentive
+		rt := core.MustNew(rc)
 		if err := rt.Run(b.Main()); err != nil {
 			panic(err)
 		}

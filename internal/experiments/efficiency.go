@@ -8,7 +8,6 @@ import (
 	"ompsscluster/internal/core"
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/sweep"
-	"ompsscluster/internal/trace"
 	"ompsscluster/internal/workloads/synthetic"
 )
 
@@ -45,25 +44,17 @@ func effConfigs() []effConfig {
 
 // effRun executes one (imbalance, config) cell of the efficiency sweep
 // with POP accounting enabled and returns the runtime for its report.
-func effRun(sc Scale, imb float64, cfg effConfig, rec *trace.Recorder, ob *obs.Recorder) *core.ClusterRuntime {
+func effRun(sc Scale, imb float64, cfg effConfig, ob *obs.Recorder) *core.ClusterRuntime {
 	m := cluster.New(effNodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synConfig(sc, imb), effNodes, sc.CoresPerNode)
-	rt := core.MustNew(core.Config{
-		Machine:      m,
-		Degree:       cfg.degree,
-		Graphs:       sc.Graphs,
-		EngineStats:  sc.Engine,
-		POP:          true,
-		POPWindow:    sc.POPWindow,
-		LeWI:         cfg.lewi,
-		DROM:         cfg.drom,
-		SelfSched:    cfg.sched,
-		GlobalPeriod: sc.GlobalPeriod,
-		LocalPeriod:  sc.LocalPeriod,
-		Seed:         sc.Seed,
-		Recorder:     rec,
-		Obs:          ob,
-	})
+	rc := sc.config(m)
+	rc.Degree = cfg.degree
+	rc.POP = true
+	rc.LeWI = cfg.lewi
+	rc.DROM = cfg.drom
+	rc.SelfSched = cfg.sched
+	rc.Obs = ob
+	rt := core.MustNew(rc)
 	if err := rt.Run(b.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: efficiency run failed: %v", err))
 	}
@@ -102,7 +93,7 @@ func Efficiency(sc Scale) *Result {
 		CommE float64 `json:"comm_e"`
 	}
 	outs := mapSpecs(sc, specs, func(s spec) outcome {
-		rt := effRun(sc, s.imb, s.cfg, nil, nil)
+		rt := effRun(sc, s.imb, s.cfg, nil)
 		rep, err := rt.POP()
 		if err != nil {
 			panic(fmt.Sprintf("experiments: efficiency POP report: %v", err))
@@ -137,7 +128,7 @@ func Efficiency(sc Scale) *Result {
 }
 
 // EfficiencyTraceBundles runs the compared stacks once at imbalance 2.0
-// with both recorders attached, for traceview. The windowed POP series
+// with a recorder attached, for traceview. The windowed POP series
 // defaults to the scale's local period so the Chrome export carries the
 // per-node PE counter tracks.
 func EfficiencyTraceBundles(sc Scale) []TraceBundle {
@@ -145,9 +136,8 @@ func EfficiencyTraceBundles(sc Scale) []TraceBundle {
 		sc.POPWindow = sc.LocalPeriod
 	}
 	return sweep.Map(sc.engine(), effConfigs(), func(cfg effConfig) TraceBundle {
-		rec := trace.NewRecorder()
 		ob := obs.NewRecorder(-1)
-		effRun(sc, 2.0, cfg, rec, ob)
-		return TraceBundle{Label: cfg.label, Obs: ob, Trace: rec}
+		effRun(sc, 2.0, cfg, ob)
+		return TraceBundle{Label: cfg.label, Obs: ob}
 	})
 }

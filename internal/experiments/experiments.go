@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strings"
 
+	"ompsscluster/internal/cluster"
+	"ompsscluster/internal/core"
 	"ompsscluster/internal/expander"
 	"ompsscluster/internal/nbody"
 	"ompsscluster/internal/simtime"
@@ -231,8 +233,6 @@ type Scale struct {
 	// proportion to the shortened iterations.
 	GlobalPeriod simtime.Duration
 	LocalPeriod  simtime.Duration
-	// SamplePeriod is the trace/imbalance sampling period (default 50ms).
-	SamplePeriod simtime.Duration
 	// Seed drives all randomness.
 	Seed int64
 
@@ -268,14 +268,6 @@ type Scale struct {
 	// see JobHooks. A pointer so every copy of the Scale an experiment
 	// passes around shares the one hook state.
 	Jobs *JobHooks
-}
-
-// SamplePeriodOrDefault returns the sampling period as a Time step.
-func (sc Scale) SamplePeriodOrDefault() simtime.Time {
-	if sc.SamplePeriod > 0 {
-		return simtime.Time(sc.SamplePeriod)
-	}
-	return simtime.Time(50 * simtime.Millisecond)
 }
 
 // DefaultScale runs every figure in minutes on a laptop. Nodes are 24
@@ -356,6 +348,22 @@ func (sc Scale) engine() *sweep.Engine {
 		eng = eng.WithHook(sweep.Hook{Ctx: sc.Jobs.Ctx})
 	}
 	return eng
+}
+
+// config returns the runtime configuration every experiment run starts
+// from: the machine plus the fields the scale shares with all its runs.
+// Call sites set only what differs.
+func (sc Scale) config(m *cluster.Machine) core.Config {
+	return core.Config{
+		Machine:      m,
+		Graphs:       sc.Graphs,
+		EngineStats:  sc.Engine,
+		POP:          sc.POP,
+		POPWindow:    sc.POPWindow,
+		GlobalPeriod: sc.GlobalPeriod,
+		LocalPeriod:  sc.LocalPeriod,
+		Seed:         sc.Seed,
+	}
 }
 
 // runSpec is one point-producing simulator run of a figure sweep: run

@@ -266,13 +266,13 @@ func TestMarkdownRendering(t *testing.T) {
 }
 
 func TestFig5TracesProduceTimelines(t *testing.T) {
-	recs, labs := Fig5Traces(qs())
-	if len(recs) != 2 || labs[0] != "local" || labs[1] != "global" {
-		t.Fatalf("labels = %v", labs)
+	bundles := Fig5TraceBundles(qs())
+	if len(bundles) != 2 || bundles[0].Label != "local" || bundles[1].Label != "global" {
+		t.Fatalf("bundles = %+v", bundles)
 	}
-	for i, rec := range recs {
-		if rec.Busy(0, 0).Max() < 1 {
-			t.Fatalf("trace %d empty", i)
+	for _, b := range bundles {
+		if b.Obs.Busy(0, 0).Max() < 1 {
+			t.Fatalf("%s trace empty", b.Label)
 		}
 	}
 }

@@ -57,10 +57,10 @@ func ExtDynamicSpreading(sc Scale) *Result {
 		cfg := synConfig(sc, s.imb)
 		switch s.kind {
 		case 0:
-			t, _ := synRun(sc, cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet()), cfg, 1, true, core.DROMLocal, nil, nil)
+			t, _ := synRun(sc, cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet()), cfg, 1, true, core.DROMLocal, nil)
 			return dynOut{t: t}
 		case 1:
-			t, _ := synRun(sc, cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet()), cfg, 4, true, core.DROMGlobal, nil, nil)
+			t, _ := synRun(sc, cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet()), cfg, 4, true, core.DROMGlobal, nil)
 			return dynOut{t: t}
 		default:
 			td, rt := dynamicRun(sc, nodes, cfg)
@@ -91,23 +91,12 @@ func ExtDynamicSpreading(sc Scale) *Result {
 func dynamicRun(sc Scale, nodes int, synCfg synthetic.Config) (simtime.Duration, *core.ClusterRuntime) {
 	m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synCfg, nodes, sc.CoresPerNode)
-	rt := core.MustNew(core.Config{
-		Machine:      m,
-		Degree:       1,
-		Graphs:       sc.Graphs,
-		EngineStats:  sc.Engine,
-		POP:          sc.POP,
-		POPWindow:    sc.POPWindow,
-		LeWI:         true,
-		DROM:         core.DROMGlobal,
-		GlobalPeriod: sc.GlobalPeriod,
-		LocalPeriod:  sc.LocalPeriod,
-		Seed:         sc.Seed,
-		Dynamic: core.DynamicConfig{
-			Enabled:    true,
-			GrowPeriod: sc.LocalPeriod,
-		},
-	})
+	rc := sc.config(m)
+	rc.Degree = 1
+	rc.LeWI = true
+	rc.DROM = core.DROMGlobal
+	rc.Dynamic = core.DynamicConfig{Enabled: true, GrowPeriod: sc.LocalPeriod}
+	rt := core.MustNew(rc)
 	if err := rt.Run(b.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: dynamic run failed: %v", err))
 	}
@@ -184,19 +173,11 @@ func ExtDVFS(sc Scale) *Result {
 		cfg := synConfig(sc, 1.0) // balanced application
 		cfg.Iterations = sc.Iterations * 2
 		b := synthetic.New(cfg, nodes, sc.CoresPerNode)
-		rt := core.MustNew(core.Config{
-			Machine:      m,
-			Degree:       sp.degree,
-			Graphs:       sc.Graphs,
-			EngineStats:  sc.Engine,
-			POP:          sc.POP,
-			POPWindow:    sc.POPWindow,
-			LeWI:         sp.lewi,
-			DROM:         sp.drom,
-			GlobalPeriod: sc.GlobalPeriod,
-			LocalPeriod:  sc.LocalPeriod,
-			Seed:         sc.Seed,
-		})
+		rc := sc.config(m)
+		rc.Degree = sp.degree
+		rc.LeWI = sp.lewi
+		rc.DROM = sp.drom
+		rt := core.MustNew(rc)
 		// Throttle node 0 halfway through the run: iteration time is
 		// roughly TasksPerCore x MeanTask, so half the iterations in.
 		throttleAt := simtime.Duration(cfg.Iterations/2) *
@@ -222,20 +203,12 @@ func ExtDVFS(sc Scale) *Result {
 func partitionedRun(sc Scale, nodes, partition int) simtime.Duration {
 	m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synConfig(sc, 2.0), nodes, sc.CoresPerNode)
-	rt := core.MustNew(core.Config{
-		Machine:         m,
-		Degree:          4,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		LeWI:            true,
-		DROM:            core.DROMGlobal,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		GlobalPartition: partition,
-		Seed:            sc.Seed,
-	})
+	rc := sc.config(m)
+	rc.Degree = 4
+	rc.LeWI = true
+	rc.DROM = core.DROMGlobal
+	rc.GlobalPartition = partition
+	rt := core.MustNew(rc)
 	if err := rt.Run(b.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: partitioned run failed: %v", err))
 	}

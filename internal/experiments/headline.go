@@ -43,15 +43,15 @@ func Headline(sc Scale) *Result {
 	// The eight underlying measurements are independent simulator runs;
 	// sweep them together and assemble the claims from the results.
 	runs := []func() simtime.Duration{
-		func() simtime.Duration { t, _ := mppRun(sc, mppNodes, 1, 1, true, core.DROMLocal, nil, nil); return t },
-		func() simtime.Duration { t, _ := mppRun(sc, mppNodes, 1, 4, true, core.DROMGlobal, nil, nil); return t },
+		func() simtime.Duration { t, _ := mppRun(sc, mppNodes, 1, 1, true, core.DROMLocal, nil); return t },
+		func() simtime.Duration { t, _ := mppRun(sc, mppNodes, 1, 4, true, core.DROMGlobal, nil); return t },
 		func() simtime.Duration { return mppOptimal(sc, mppNodes, 1) },
 		func() simtime.Duration { return nbodyRun(sc, nbNodes, 1, false, core.DROMOff, true, false) },
 		func() simtime.Duration { return nbodyRun(sc, nbNodes, 1, true, core.DROMLocal, true, false) },
 		func() simtime.Duration { return nbodyRun(sc, nbNodes, 3, true, core.DROMGlobal, true, false) },
 		func() simtime.Duration {
 			m := cluster.New(synNodes, sc.CoresPerNode, cluster.DefaultNet())
-			t, _ := synRun(sc, m, synCfg, 4, true, core.DROMGlobal, nil, nil)
+			t, _ := synRun(sc, m, synCfg, 4, true, core.DROMGlobal, nil)
 			return t
 		},
 		func() simtime.Duration {

@@ -8,7 +8,6 @@ import (
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simtime"
 	"ompsscluster/internal/sweep"
-	"ompsscluster/internal/trace"
 	"ompsscluster/internal/workloads/micropp"
 	"ompsscluster/internal/workloads/synthetic"
 )
@@ -50,25 +49,16 @@ func mppProblem(sc Scale, appranks, coresPerApprank int) *micropp.Problem {
 // of timesteps. The paper's runs are long enough that warm-up is
 // negligible; normalising removes the same transient from these scaled
 // runs.
-func mppRun(sc Scale, nodes, rpn, degree int, lewi bool, drom core.DROMMode, rec *trace.Recorder, ob *obs.Recorder) (simtime.Duration, *core.ClusterRuntime) {
+func mppRun(sc Scale, nodes, rpn, degree int, lewi bool, drom core.DROMMode, ob *obs.Recorder) (simtime.Duration, *core.ClusterRuntime) {
 	m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 	p := mppProblem(sc, nodes*rpn, sc.CoresPerNode/rpn)
-	rt := core.MustNew(core.Config{
-		Machine:         m,
-		AppranksPerNode: rpn,
-		Degree:          degree,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		LeWI:            lewi,
-		DROM:            drom,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
-		Recorder:        rec,
-		Obs:             ob,
-	})
+	rc := sc.config(m)
+	rc.AppranksPerNode = rpn
+	rc.Degree = degree
+	rc.LeWI = lewi
+	rc.DROM = drom
+	rc.Obs = ob
+	rt := core.MustNew(rc)
 	if err := rt.Run(p.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: micropp run failed: %v", err))
 	}
@@ -103,13 +93,13 @@ func figMicroPP(id, title string, sc Scale, rpn int, drom core.DROMMode) *Result
 	for _, n := range nodes {
 		x := float64(n)
 		specs = append(specs, runSpec{baseline, x, func() float64 {
-			t, _ := mppRun(sc, n, rpn, 1, false, core.DROMOff, nil, nil)
+			t, _ := mppRun(sc, n, rpn, 1, false, core.DROMOff, nil)
 			return t.Seconds()
 		}})
 		// Single-node DLB: LeWI plus the local DROM policy among the
 		// processes of each node.
 		specs = append(specs, runSpec{dlbOnly, x, func() float64 {
-			t, _ := mppRun(sc, n, rpn, 1, true, core.DROMLocal, nil, nil)
+			t, _ := mppRun(sc, n, rpn, 1, true, core.DROMLocal, nil)
 			return t.Seconds()
 		}})
 		for i, d := range degrees {
@@ -117,7 +107,7 @@ func figMicroPP(id, title string, sc Scale, rpn int, drom core.DROMMode) *Result
 				continue
 			}
 			specs = append(specs, runSpec{degSeries[i], x, func() float64 {
-				t, _ := mppRun(sc, n, rpn, d, true, drom, nil, nil)
+				t, _ := mppRun(sc, n, rpn, d, true, drom, nil)
 				return t.Seconds()
 			}})
 		}
@@ -164,8 +154,8 @@ func Fig7(sc Scale) *Result {
 // Fig9 reproduces Figure 9: MicroPP on four nodes with degree two, with
 // and without LeWI and DROM. The series contain the execution times; the
 // notes carry the time ratios the paper reports (LeWI-only 83% of
-// baseline, DROM-only 65%, both best). Fig9Traces returns the underlying
-// timelines.
+// baseline, DROM-only 65%, both best). Fig9TraceBundles records the
+// underlying timelines.
 func Fig9(sc Scale) *Result {
 	res := &Result{
 		ID:     "fig9",
@@ -174,7 +164,7 @@ func Fig9(sc Scale) *Result {
 		YLabel: "execution time (s)",
 	}
 	times := mapSpecs(sc, fig9Configs(), func(cfg fig9Config) simtime.Duration {
-		t, _ := mppRun(sc, 4, 1, cfg.degree, cfg.lewi, cfg.drom, nil, nil)
+		t, _ := mppRun(sc, 4, 1, cfg.degree, cfg.lewi, cfg.drom, nil)
 		return t
 	}, durCodec())
 	for i, cfg := range fig9Configs() {
@@ -209,28 +199,14 @@ func fig9Configs() []fig9Config {
 	}
 }
 
-// Fig9Traces runs the four Figure-9 configurations with trace recording
-// and returns the recorders (busy and owned timelines per node/apprank)
-// with their labels.
-func Fig9Traces(sc Scale) ([]*trace.Recorder, []string) {
-	bundles := Fig9TraceBundles(sc)
-	recs := make([]*trace.Recorder, len(bundles))
-	labels := make([]string, len(bundles))
-	for i, b := range bundles {
-		recs[i], labels[i] = b.Trace, b.Label
-	}
-	return recs, labels
-}
-
-// Fig9TraceBundles runs the four Figure-9 configurations with both the
-// legacy timeline recorder and the structured event recorder attached,
-// driven from the same event stream.
+// Fig9TraceBundles runs the four Figure-9 configurations with a
+// recorder attached (busy and owned timelines per node/apprank plus the
+// event ring), for traceview.
 func Fig9TraceBundles(sc Scale) []TraceBundle {
 	return sweep.Map(sc.engine(), fig9Configs(), func(cfg fig9Config) TraceBundle {
-		rec := trace.NewRecorder()
 		ob := obs.NewRecorder(-1)
-		mppRun(sc, 4, 1, cfg.degree, cfg.lewi, cfg.drom, rec, ob)
-		return TraceBundle{Label: cfg.label, Obs: ob, Trace: rec}
+		mppRun(sc, 4, 1, cfg.degree, cfg.lewi, cfg.drom, ob)
+		return TraceBundle{Label: cfg.label, Obs: ob}
 	})
 }
 
@@ -240,14 +216,14 @@ func Fig9TraceBundles(sc Scale) []TraceBundle {
 // core-time over the apprank's time-averaged owned cores, which with
 // DROM reassignment may span several nodes.
 func TALPReport(sc Scale) string {
-	rec := trace.NewRecorder()
-	_, rt := mppRun(sc, 4, 1, 2, true, core.DROMGlobal, rec, nil)
-	end := rec.End()
+	ob := obs.NewRecorder(0)
+	_, rt := mppRun(sc, 4, 1, 2, true, core.DROMGlobal, ob)
+	end := ob.End()
 	avgCores := map[int]float64{}
 	for a := 0; a < rt.NumAppranks(); a++ {
 		total := 0.0
 		for n := 0; n < 4; n++ {
-			total += rec.Owned(n, a).Average(0, end)
+			total += ob.Owned(n, a).Average(0, end)
 		}
 		avgCores[a] = total
 	}

@@ -60,20 +60,12 @@ func nbodyRun(sc Scale, nodes, degree int, lewi bool, drom core.DROMMode, slow, 
 		Seed:               sc.Seed,
 		Trajectories:       sc.Trajectories,
 	})
-	rt := core.MustNew(core.Config{
-		Machine:         m,
-		AppranksPerNode: rpn,
-		Degree:          degree,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		LeWI:            lewi,
-		DROM:            drom,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
-	})
+	rc := sc.config(m)
+	rc.AppranksPerNode = rpn
+	rc.Degree = degree
+	rc.LeWI = lewi
+	rc.DROM = drom
+	rt := core.MustNew(rc)
 	if err := rt.Run(cs.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: n-body run failed: %v", err))
 	}

@@ -10,7 +10,6 @@ import (
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simtime"
 	"ompsscluster/internal/sweep"
-	"ompsscluster/internal/trace"
 	"ompsscluster/internal/workloads/synthetic"
 )
 
@@ -92,7 +91,7 @@ func policyConfigFor(name string) (policyConfig, error) {
 // time-to-solution. The machine is built fresh per run — scenario and
 // fault plans mutate it (speeds, cores), so sharing one across
 // concurrent runs would leak mutations between cells.
-func policyRun(sc Scale, scn policyScenario, plan *faults.Plan, pol policyConfig, rec *trace.Recorder, ob *obs.Recorder) (simtime.Duration, *core.ClusterRuntime, error) {
+func policyRun(sc Scale, scn policyScenario, plan *faults.Plan, pol policyConfig, ob *obs.Recorder) (simtime.Duration, *core.ClusterRuntime, error) {
 	m := cluster.New(policyNodes, sc.CoresPerNode, cluster.DefaultNet())
 	synCfg := synConfig(sc, scn.imbalance)
 	if scn.slow {
@@ -100,23 +99,14 @@ func policyRun(sc Scale, scn policyScenario, plan *faults.Plan, pol policyConfig
 		synCfg.HeaviestApprank = 1
 	}
 	b := synthetic.New(synCfg, policyNodes, sc.CoresPerNode)
-	rt, err := core.New(core.Config{
-		Machine:      m,
-		Degree:       3,
-		Graphs:       sc.Graphs,
-		EngineStats:  sc.Engine,
-		POP:          sc.POP,
-		POPWindow:    sc.POPWindow,
-		LeWI:         pol.lewi,
-		DROM:         pol.drom,
-		SelfSched:    pol.sched,
-		GlobalPeriod: sc.GlobalPeriod,
-		LocalPeriod:  sc.LocalPeriod,
-		Seed:         sc.Seed,
-		Faults:       plan,
-		Recorder:     rec,
-		Obs:          ob,
-	})
+	rc := sc.config(m)
+	rc.Degree = 3
+	rc.LeWI = pol.lewi
+	rc.DROM = pol.drom
+	rc.SelfSched = pol.sched
+	rc.Faults = plan
+	rc.Obs = ob
+	rt, err := core.New(rc)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -161,7 +151,7 @@ func Policies(sc Scale) *Result {
 		Err    string  `json:"err,omitempty"`
 	}
 	outs := mapSpecs(sc, specs, func(s spec) outcome {
-		t, rt, err := policyRun(sc, s.scn, resiliencePlan(sc, s.scn.fault), s.pol, nil, nil)
+		t, rt, err := policyRun(sc, s.scn, resiliencePlan(sc, s.scn.fault), s.pol, nil)
 		if err != nil {
 			return outcome{err: err}
 		}
@@ -231,7 +221,7 @@ func PolicyDemo(sc Scale, policy string, plan *faults.Plan) (*Result, error) {
 		Err   string           `json:"err,omitempty"`
 	}
 	outs := mapSpecs(sc, pols, func(pol policyConfig) outcome {
-		t, rt, err := policyRun(sc, scn, plan, pol, nil, nil)
+		t, rt, err := policyRun(sc, scn, plan, pol, nil)
 		var st core.RunStats
 		if rt != nil {
 			st = rt.Stats()
@@ -264,15 +254,14 @@ func PolicyDemo(sc Scale, policy string, plan *faults.Plan) (*Result, error) {
 }
 
 // PoliciesTraceBundles runs each policy configuration at the imbalanced
-// scenario with both recorders attached, for traceview.
+// scenario with a recorder attached, for traceview.
 func PoliciesTraceBundles(sc Scale) []TraceBundle {
 	scn := policyScenario{label: "imb 2.0", imbalance: 2.0}
 	return sweep.Map(sc.engine(), policyConfigs(), func(pol policyConfig) TraceBundle {
-		rec := trace.NewRecorder()
 		ob := obs.NewRecorder(-1)
-		if _, _, err := policyRun(sc, scn, nil, pol, rec, ob); err != nil {
+		if _, _, err := policyRun(sc, scn, nil, pol, ob); err != nil {
 			panic(fmt.Sprintf("experiments: traced policies run %s: %v", pol.label, err))
 		}
-		return TraceBundle{Label: pol.label, Obs: ob, Trace: rec}
+		return TraceBundle{Label: pol.label, Obs: ob}
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"ompsscluster/internal/dlb"
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/sweep"
-	"ompsscluster/internal/trace"
 )
 
 // fig8POPCell is one representative fig8 configuration for POPReports:
@@ -57,24 +56,24 @@ func POPReports(id string, sc Scale) ([]POPBundle, error) {
 	switch id {
 	case "fig5":
 		return sweep.Map(sc.engine(), fig5Policies(), func(p fig5Policy) POPBundle {
-			rt, _ := runFig5Workload(sc, p.drom, nil, nil)
+			rt, _ := runFig5Workload(sc, p.drom, nil)
 			return pop(rt, p.label)
 		}), nil
 	case "fig8":
 		return sweep.Map(sc.engine(), fig8POPCells(), func(c fig8POPCell) POPBundle {
 			m := cluster.New(4, sc.CoresPerNode, cluster.DefaultNet())
-			_, rt := synRun(sc, m, synConfig(sc, c.imbalance), c.degree, c.lewi, c.drom, nil, nil)
+			_, rt := synRun(sc, m, synConfig(sc, c.imbalance), c.degree, c.lewi, c.drom, nil)
 			return pop(rt, c.label)
 		}), nil
 	case "fig9":
 		return sweep.Map(sc.engine(), fig9Configs(), func(cfg fig9Config) POPBundle {
-			_, rt := mppRun(sc, 4, 1, cfg.degree, cfg.lewi, cfg.drom, nil, nil)
+			_, rt := mppRun(sc, 4, 1, cfg.degree, cfg.lewi, cfg.drom, nil)
 			return pop(rt, cfg.label)
 		}), nil
 	case "policies":
 		scn := policyScenario{label: "imb 2.0", imbalance: 2.0}
 		return sweep.Map(sc.engine(), policyConfigs(), func(pc policyConfig) POPBundle {
-			_, rt, err := policyRun(sc, scn, nil, pc, nil, nil)
+			_, rt, err := policyRun(sc, scn, nil, pc, nil)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: POP policies run %s: %v", pc.label, err))
 			}
@@ -82,20 +81,19 @@ func POPReports(id string, sc Scale) ([]POPBundle, error) {
 		}), nil
 	case "efficiency":
 		return sweep.Map(sc.engine(), effConfigs(), func(cfg effConfig) POPBundle {
-			return pop(effRun(sc, 2.0, cfg, nil, nil), cfg.label)
+			return pop(effRun(sc, 2.0, cfg, nil), cfg.label)
 		}), nil
 	}
 	return nil, fmt.Errorf("experiments: no POP-report variant of %q (have fig5, fig8, fig9, policies, efficiency)", id)
 }
 
-// Fig8TraceBundles runs the representative fig8 configurations with both
-// recorders attached, for traceview.
+// Fig8TraceBundles runs the representative fig8 configurations with a
+// recorder attached, for traceview.
 func Fig8TraceBundles(sc Scale) []TraceBundle {
 	return sweep.Map(sc.engine(), fig8POPCells(), func(c fig8POPCell) TraceBundle {
-		rec := trace.NewRecorder()
 		ob := obs.NewRecorder(-1)
 		m := cluster.New(4, sc.CoresPerNode, cluster.DefaultNet())
-		synRun(sc, m, synConfig(sc, c.imbalance), c.degree, c.lewi, c.drom, rec, ob)
-		return TraceBundle{Label: c.label, Obs: ob, Trace: rec}
+		synRun(sc, m, synConfig(sc, c.imbalance), c.degree, c.lewi, c.drom, ob)
+		return TraceBundle{Label: c.label, Obs: ob}
 	})
 }

@@ -76,20 +76,12 @@ func minF(a, b float64) float64 {
 func resilienceRun(sc Scale, plan *faults.Plan, lewi bool, drom core.DROMMode) (simtime.Duration, *core.ClusterRuntime, error) {
 	m := cluster.New(resilienceNodes, sc.CoresPerNode, cluster.DefaultNet())
 	b := synthetic.New(synConfig(sc, 2.0), resilienceNodes, sc.CoresPerNode)
-	rt, err := core.New(core.Config{
-		Machine:      m,
-		Degree:       3,
-		Graphs:       sc.Graphs,
-		EngineStats:  sc.Engine,
-		POP:          sc.POP,
-		POPWindow:    sc.POPWindow,
-		LeWI:         lewi,
-		DROM:         drom,
-		GlobalPeriod: sc.GlobalPeriod,
-		LocalPeriod:  sc.LocalPeriod,
-		Seed:         sc.Seed,
-		Faults:       plan,
-	})
+	rc := sc.config(m)
+	rc.Degree = 3
+	rc.LeWI = lewi
+	rc.DROM = drom
+	rc.Faults = plan
+	rt, err := core.New(rc)
 	if err != nil {
 		return 0, nil, err
 	}

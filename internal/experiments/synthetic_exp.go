@@ -8,29 +8,19 @@ import (
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simtime"
 	"ompsscluster/internal/sweep"
-	"ompsscluster/internal/trace"
 	"ompsscluster/internal/workloads/synthetic"
 )
 
 // synRun executes one synthetic configuration and returns the
 // steady-state per-iteration time (skipping one warm-up iteration).
-func synRun(sc Scale, m *cluster.Machine, synCfg synthetic.Config, degree int, lewi bool, drom core.DROMMode, rec *trace.Recorder, ob *obs.Recorder) (simtime.Duration, *core.ClusterRuntime) {
+func synRun(sc Scale, m *cluster.Machine, synCfg synthetic.Config, degree int, lewi bool, drom core.DROMMode, ob *obs.Recorder) (simtime.Duration, *core.ClusterRuntime) {
 	b := synthetic.New(synCfg, m.NumNodes(), sc.CoresPerNode)
-	rt := core.MustNew(core.Config{
-		Machine:      m,
-		Degree:       degree,
-		Graphs:       sc.Graphs,
-		EngineStats:  sc.Engine,
-		POP:          sc.POP,
-		POPWindow:    sc.POPWindow,
-		LeWI:         lewi,
-		DROM:         drom,
-		GlobalPeriod: sc.GlobalPeriod,
-		LocalPeriod:  sc.LocalPeriod,
-		Seed:         sc.Seed,
-		Recorder:     rec,
-		Obs:          ob,
-	})
+	rc := sc.config(m)
+	rc.Degree = degree
+	rc.LeWI = lewi
+	rc.DROM = drom
+	rc.Obs = ob
+	rt := core.MustNew(rc)
 	if err := rt.Run(b.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: synthetic run failed: %v", err))
 	}
@@ -84,7 +74,7 @@ func Fig8(sc Scale) *Result {
 			}
 			cfg := synConfig(sc, imb)
 			specs = append(specs, runSpec{base, imb, func() float64 {
-				t, _ := synRun(sc, m(), cfg, 1, true, core.DROMLocal, nil, nil)
+				t, _ := synRun(sc, m(), cfg, 1, true, core.DROMLocal, nil)
 				return t.Seconds()
 			}})
 			for _, d := range degrees {
@@ -92,7 +82,7 @@ func Fig8(sc Scale) *Result {
 					continue
 				}
 				specs = append(specs, runSpec{degSeries[d], imb, func() float64 {
-					t, _ := synRun(sc, m(), cfg, d, true, core.DROMGlobal, nil, nil)
+					t, _ := synRun(sc, m(), cfg, d, true, core.DROMGlobal, nil)
 					return t.Seconds()
 				}})
 			}
@@ -164,12 +154,12 @@ func Fig10(sc Scale) *Result {
 				cfg.PinLightest = true // slow node (node 0) gets the least work
 			} // else the heaviest stays at apprank 0 = the slow node
 			specs = append(specs, runSpec{base, imb, func() float64 {
-				t, _ := synRun(sc, slowMachine(sw.nodes), cfg, 1, true, core.DROMLocal, nil, nil)
+				t, _ := synRun(sc, slowMachine(sw.nodes), cfg, 1, true, core.DROMLocal, nil)
 				return t.Seconds()
 			}})
 			for _, d := range sw.degrees {
 				specs = append(specs, runSpec{degSeries[d], imb, func() float64 {
-					t, _ := synRun(sc, slowMachine(sw.nodes), cfg, d, true, core.DROMGlobal, nil, nil)
+					t, _ := synRun(sc, slowMachine(sw.nodes), cfg, d, true, core.DROMGlobal, nil)
 					return t.Seconds()
 				}})
 			}
@@ -232,16 +222,17 @@ func Fig11(sc Scale) *Result {
 		}
 	}
 	res.Series = append(res.Series, mapSpecs(sc, specs, func(s spec) Series {
-		rec := trace.NewRecorder()
+		ob := obs.NewRecorder(0)
 		synCfg := synConfig(sc, s.sce.imb)
 		synCfg.Iterations = sc.Iterations + 2 // room to converge
 		m := cluster.New(s.sce.nodes, sc.CoresPerNode, cluster.DefaultNet())
-		synRun(sc, m, synCfg, s.sce.nodes, s.cfg.lewi, s.cfg.drom, rec, nil)
+		synRun(sc, m, synCfg, s.sce.nodes, s.cfg.lewi, s.cfg.drom, ob)
 		series := Series{Label: fmt.Sprintf("%dn %s", s.sce.nodes, s.cfg.label)}
-		// Sample the step series on a regular grid so all series
+		// Sample the step series on the sampler's own grid so all series
 		// share x values (the recorder compacts repeated values).
-		imbSeries := rec.Custom("node_imbalance")
-		for ti := sc.SamplePeriodOrDefault(); ti <= rec.End(); ti += sc.SamplePeriodOrDefault() {
+		imbSeries := ob.ImbalanceSeries()
+		const step = simtime.Time(core.ImbalanceSamplePeriod)
+		for ti := step; ti <= ob.End(); ti += step {
 			series.Points = append(series.Points, Point{ti.Seconds(), imbSeries.ValueAt(ti)})
 		}
 		return series
@@ -272,15 +263,15 @@ func Fig5(sc Scale) *Result {
 		Note   string   `json:"note"`
 	}
 	outs := mapSpecs(sc, fig5Policies(), func(pol fig5Policy) fig5Out {
-		rec := trace.NewRecorder()
-		_, phase2Start := runFig5Workload(sc, pol.drom, rec, nil)
-		end := rec.End()
+		ob := obs.NewRecorder(0)
+		_, phase2Start := runFig5Workload(sc, pol.drom, ob)
+		end := ob.End()
 		var out fig5Out
 		// Busy timelines, sampled.
 		for node := 0; node < 2; node++ {
 			for a := 0; a < 2; a++ {
 				s := Series{Label: fmt.Sprintf("%s n%d/a%d", pol.label, node, a)}
-				busy := rec.Busy(node, a)
+				busy := ob.Busy(node, a)
 				const samples = 60
 				for k := 0; k <= samples; k++ {
 					t0 := simtime.Time(float64(end) * float64(k) / samples)
@@ -294,7 +285,7 @@ func Fig5(sc Scale) *Result {
 		// last two thirds, past the ownership transition): average busy
 		// cores of each apprank on its non-home node.
 		settle := phase2Start + (end-phase2Start)/3
-		cross := rec.Busy(1, 0).Average(settle, end) + rec.Busy(0, 1).Average(settle, end)
+		cross := ob.Busy(1, 0).Average(settle, end) + ob.Busy(0, 1).Average(settle, end)
 		out.note = fmt.Sprintf(
 			"%s policy: %.2f cores of cross-node execution during the balanced phase (paper: local offloads unnecessarily, global ~0)",
 			pol.label, cross)
@@ -320,50 +311,27 @@ func fig5Policies() []fig5Policy {
 	return []fig5Policy{{"local", core.DROMLocal}, {"global", core.DROMGlobal}}
 }
 
-// Fig5Traces runs the two-phase workload under both policies with trace
-// recording and returns the recorders with their labels, for traceview.
-func Fig5Traces(sc Scale) ([]*trace.Recorder, []string) {
-	bundles := Fig5TraceBundles(sc)
-	recs := make([]*trace.Recorder, len(bundles))
-	labels := make([]string, len(bundles))
-	for i, b := range bundles {
-		recs[i], labels[i] = b.Trace, b.Label
-	}
-	return recs, labels
-}
-
 // Fig5TraceBundles runs the two-phase workload under both policies with
-// both the legacy timeline recorder and the structured event recorder
-// attached, driven from the same event stream.
+// a recorder attached, for traceview.
 func Fig5TraceBundles(sc Scale) []TraceBundle {
 	return sweep.Map(sc.engine(), fig5Policies(), func(pol fig5Policy) TraceBundle {
-		rec := trace.NewRecorder()
 		ob := obs.NewRecorder(-1)
-		runFig5Workload(sc, pol.drom, rec, ob)
-		return TraceBundle{Label: pol.label, Obs: ob, Trace: rec}
+		runFig5Workload(sc, pol.drom, ob)
+		return TraceBundle{Label: pol.label, Obs: ob}
 	})
 }
 
 // runFig5Workload runs the two-phase workload and returns the runtime
 // and the virtual time at which the balanced phase began.
-func runFig5Workload(sc Scale, drom core.DROMMode, rec *trace.Recorder, ob *obs.Recorder) (*core.ClusterRuntime, simtime.Time) {
+func runFig5Workload(sc Scale, drom core.DROMMode, ob *obs.Recorder) (*core.ClusterRuntime, simtime.Time) {
 	m := cluster.New(2, sc.CoresPerNode, cluster.DefaultNet())
-	rt := core.MustNew(core.Config{
-		Machine:         m,
-		AppranksPerNode: 1,
-		Degree:          2,
-		Graphs:          sc.Graphs,
-		EngineStats:     sc.Engine,
-		POP:             sc.POP,
-		POPWindow:       sc.POPWindow,
-		LeWI:            true,
-		DROM:            drom,
-		GlobalPeriod:    sc.GlobalPeriod,
-		LocalPeriod:     sc.LocalPeriod,
-		Seed:            sc.Seed,
-		Recorder:        rec,
-		Obs:             ob,
-	})
+	rc := sc.config(m)
+	rc.AppranksPerNode = 1
+	rc.Degree = 2
+	rc.LeWI = true
+	rc.DROM = drom
+	rc.Obs = ob
+	rt := core.MustNew(rc)
 	var phase2Start simtime.Time
 	iters := sc.Iterations
 	tasks := sc.TasksPerCore * sc.CoresPerNode

@@ -4,18 +4,14 @@ import (
 	"fmt"
 
 	"ompsscluster/internal/obs"
-	"ompsscluster/internal/trace"
 )
 
-// TraceBundle is one traced run's complete observability output: the
-// structured event recorder (Chrome trace export, metrics registry) and
-// the legacy timeline recorder (Paraver/CSV export). Both are fed from
-// the same event stream by the runtime, so the two views agree by
-// construction.
+// TraceBundle is one traced run's observability output: its recorder
+// holds the event ring (Chrome trace export, metrics registry) and the
+// busy/owned timelines (CSV, Paraver and text views).
 type TraceBundle struct {
 	Label string
 	Obs   *obs.Recorder
-	Trace *trace.Recorder
 }
 
 // TraceBundles runs the traced variant of the given experiment and

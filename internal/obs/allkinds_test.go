@@ -14,7 +14,6 @@ import (
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simmpi"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
 
 // allKindsRun executes a small deterministic run that emits every event
@@ -44,7 +43,6 @@ func allKindsRun(t testing.TB, capacity int) *obs.Recorder {
 		POPWindow:   25 * ms,
 		Faults:      plan,
 		Obs:         ob,
-		Recorder:    trace.NewRecorder(),
 	})
 	err := rt.Run(func(app *core.App) {
 		regions := make([]nanos.Region, 4)

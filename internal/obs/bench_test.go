@@ -28,14 +28,20 @@ func BenchmarkWriteChrome(b *testing.B) {
 }
 
 // BenchmarkRecorderEmit measures one retained emit into a ring that
-// fills and then wraps; chunk allocation amortizes to zero per event.
+// fills and then wraps, including the busy-timeline sample each exec
+// event appends; chunk and series growth amortize to zero allocations
+// per event. The timelines keep every sample, so a fresh recorder
+// replaces the full one every 1<<20 events to bound their memory.
 func BenchmarkRecorderEmit(b *testing.B) {
-	r := obs.NewRecorder(1 << 16)
 	var now simtime.Time
-	r.BindClock(func() simtime.Time { return now })
+	var r *obs.Recorder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i&(1<<20-1) == 0 {
+			r = obs.NewRecorder(1 << 16)
+			r.BindClock(func() simtime.Time { return now })
+		}
 		now++
 		r.ExecStart(i&3, 0, int64(i), i&7, false, "work")
 	}

@@ -12,10 +12,12 @@
 // one predicted branch and zero allocations — hot loops keep their
 // allocation pins from earlier optimisation passes.
 //
-// Consumers attach taps (live per-event callbacks, e.g. TraceTap feeding
-// the legacy trace.Recorder) or read the retained ring afterwards for
-// export (Chrome trace JSON via WriteChrome, aggregate metrics via
-// BuildMetrics).
+// As it emits, the recorder also keeps the step series the paper's
+// figures are drawn from: busy and owned cores per (node, apprank) and
+// the sampled node imbalance. They live outside the ring, so a wrapped
+// ring never drops figure data, and export as CSV, simplified Paraver
+// or an ASCII timeline. The retained ring exports as Chrome trace JSON
+// (WriteChrome) and aggregate metrics (BuildMetrics).
 package obs
 
 import (
@@ -133,19 +135,21 @@ const (
 type Recorder struct {
 	clock   func() simtime.Time
 	cap     int
-	chunks  [][]Event // ring slot i lives at chunks[i>>chunkShift][i&chunkMask]
-	n       int       // events retained, at most cap
-	next    int       // ring slot the next event is written to
-	dropped uint64    // events overwritten after the ring wrapped
-	taps    []func(*Event)
-	scratch Event           // the event taps see when no ring retains it
+	chunks  [][]Event       // ring slot i lives at chunks[i>>chunkShift][i&chunkMask]
+	n       int             // events retained, at most cap
+	next    int             // ring slot the next event is written to
+	dropped uint64          // events overwritten after the ring wrapped
 	workers map[int64]int32 // node<<32|worker -> apprank, for dlb emits
 	counts  [numKinds]uint64
+
+	lines     map[int64]*timeline // busy/owned series by lineKey(node, apprank)
+	imbalance Series              // sampled node imbalance
+	end       simtime.Time        // latest time lines or imbalance recorded
 }
 
 // NewRecorder returns a recorder retaining up to capacity events.
-// capacity 0 keeps nothing (tap-only mode: the trace.Recorder bridge
-// without ring memory); negative capacity selects DefaultCapacity.
+// capacity 0 keeps the timelines only, with no ring memory; negative
+// capacity selects DefaultCapacity.
 func NewRecorder(capacity int) *Recorder {
 	if capacity < 0 {
 		capacity = DefaultCapacity
@@ -153,6 +157,7 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{
 		cap:     capacity,
 		workers: make(map[int64]int32),
+		lines:   make(map[int64]*timeline),
 	}
 }
 
@@ -163,16 +168,6 @@ func (r *Recorder) BindClock(now func() simtime.Time) {
 		return
 	}
 	r.clock = now
-}
-
-// AddTap registers fn to be called synchronously for every event, in
-// registration order. The *Event is only valid for the duration of the
-// call.
-func (r *Recorder) AddTap(fn func(*Event)) {
-	if r == nil {
-		return
-	}
-	r.taps = append(r.taps, fn)
 }
 
 // RegisterWorker maps (node, worker slot) to an apprank so DLB-level
@@ -198,28 +193,21 @@ func (r *Recorder) now() simtime.Time {
 	return r.clock()
 }
 
-// emit stamps, taps, and retains e. Split so every typed emitter is a
+// emit stamps, tracks, and retains e. Split so every typed emitter is a
 // thin wrapper and the nil check stays at the top of each.
 func (r *Recorder) emit(e Event) {
 	e.T = r.now()
 	r.emitStamped(e)
 }
 
-// emitStamped taps and retains e with its caller-set timestamp. The POP
-// window series is computed and emitted after the run ends, so its
+// emitStamped tracks and retains e with its caller-set timestamp. The
+// POP window series is computed and emitted after the run ends, so its
 // events carry their window times rather than the end-of-run clock.
 func (r *Recorder) emitStamped(e Event) {
 	r.counts[e.Kind]++
-	// Taps see the event in place, in its ring slot or, with no ring, in
-	// the recorder's scratch copy: handing them &e would move every
-	// event to the heap.
-	p := &r.scratch
+	r.track(&e)
 	if r.cap > 0 {
-		p = r.push()
-	}
-	*p = e
-	for _, tap := range r.taps {
-		tap(p)
+		*r.push() = e
 	}
 }
 

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,19 +15,17 @@ import (
 	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simmpi"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// tinyRun executes a small, fully deterministic cluster run with both
-// recorders attached: two nodes, two appranks, an imbalanced task load,
+// tinyRun executes a small, fully deterministic cluster run with a
+// recorder attached: two nodes, two appranks, an imbalanced task load,
 // point-to-point messages, collectives, and the local DROM policy, so
 // every event kind the runtime emits shows up in the stream.
-func tinyRun(t testing.TB) (*obs.Recorder, *trace.Recorder) {
+func tinyRun(t testing.TB) *obs.Recorder {
 	t.Helper()
 	ob := obs.NewRecorder(-1)
-	tr := trace.NewRecorder()
 	m := cluster.New(2, 4, cluster.DefaultNet())
 	rt := core.MustNew(core.Config{
 		Machine:     m,
@@ -36,7 +35,6 @@ func tinyRun(t testing.TB) (*obs.Recorder, *trace.Recorder) {
 		LocalPeriod: 20 * simtime.Millisecond,
 		Seed:        7,
 		Obs:         ob,
-		Recorder:    tr,
 	})
 	err := rt.Run(func(app *core.App) {
 		regions := make([]nanos.Region, 8)
@@ -71,7 +69,7 @@ func tinyRun(t testing.TB) (*obs.Recorder, *trace.Recorder) {
 	if err != nil {
 		t.Fatalf("tiny run failed: %v", err)
 	}
-	return ob, tr
+	return ob
 }
 
 func chromeBytes(t testing.TB, ob *obs.Recorder) []byte {
@@ -87,7 +85,7 @@ func chromeBytes(t testing.TB, ob *obs.Recorder) []byte {
 // Refresh with `go test ./internal/obs -run Golden -update` after an
 // intentional format or runtime-behaviour change.
 func TestChromeGolden(t *testing.T) {
-	ob, _ := tinyRun(t)
+	ob := tinyRun(t)
 	got := chromeBytes(t, ob)
 	golden := filepath.Join("testdata", "tiny_chrome.json")
 	if *update {
@@ -109,7 +107,7 @@ func TestChromeGolden(t *testing.T) {
 }
 
 func TestChromeValid(t *testing.T) {
-	ob, _ := tinyRun(t)
+	ob := tinyRun(t)
 	if err := obs.ValidateChrome(chromeBytes(t, ob)); err != nil {
 		t.Fatalf("ValidateChrome: %v", err)
 	}
@@ -118,45 +116,69 @@ func TestChromeValid(t *testing.T) {
 // TestChromeDeterministic runs the identical simulation twice and
 // demands byte-identical exports.
 func TestChromeDeterministic(t *testing.T) {
-	ob1, _ := tinyRun(t)
-	ob2, _ := tinyRun(t)
+	ob1 := tinyRun(t)
+	ob2 := tinyRun(t)
 	if !bytes.Equal(chromeBytes(t, ob1), chromeBytes(t, ob2)) {
 		t.Fatal("identical runs produced different Chrome traces")
 	}
 }
 
-// TestTraceTapAgreement replays the retained event ring through a fresh
-// TraceTap and checks the reconstructed busy/owned series match the ones
-// the runtime built live — the ring and the tap are views of one stream.
-func TestTraceTapAgreement(t *testing.T) {
-	ob, tr := tinyRun(t)
-	replayed := trace.NewRecorder()
-	tap := obs.TraceTap(replayed)
-	for _, e := range ob.Events() {
-		e := e
-		tap(&e)
+// TestTimelineReplayAgreement replays the retained event ring through
+// the timeline update into a fresh recorder and checks the busy, owned
+// and imbalance series match the ones built live, sample for sample:
+// the ring and the timelines are views of one stream.
+func TestTimelineReplayAgreement(t *testing.T) {
+	live := tinyRun(t)
+	if live.Dropped() != 0 {
+		t.Fatalf("tiny run dropped %d events", live.Dropped())
 	}
+	replayed := obs.ReplayTimelines(live)
+	type view struct {
+		name      string
+		live, rep *obs.Series
+	}
+	views := []view{{"imbalance", live.ImbalanceSeries(), replayed.ImbalanceSeries()}}
 	for node := 0; node < 2; node++ {
 		for a := 0; a < 2; a++ {
-			for _, s := range []struct {
-				name      string
-				live, rep *trace.Series
-			}{
-				{"busy", tr.Busy(node, a), replayed.Busy(node, a)},
-				{"owned", tr.Owned(node, a), replayed.Owned(node, a)},
-			} {
-				lt, lv := s.live.Samples()
-				rt, rv := s.rep.Samples()
-				if len(lt) != len(rt) {
-					t.Fatalf("%s n%d/a%d: live %d samples, replayed %d", s.name, node, a, len(lt), len(rt))
-				}
-				for i := range lt {
-					if lt[i] != rt[i] || lv[i] != rv[i] {
-						t.Fatalf("%s n%d/a%d sample %d: live (%v,%v) replayed (%v,%v)",
-							s.name, node, a, i, lt[i], lv[i], rt[i], rv[i])
-					}
-				}
+			views = append(views,
+				view{fmt.Sprintf("busy n%d/a%d", node, a), live.Busy(node, a), replayed.Busy(node, a)},
+				view{fmt.Sprintf("owned n%d/a%d", node, a), live.Owned(node, a), replayed.Owned(node, a)})
+		}
+	}
+	for _, v := range views {
+		lt, lv := v.live.Samples()
+		rt, rv := v.rep.Samples()
+		if len(lt) == 0 || len(lt) != len(rt) {
+			t.Fatalf("%s: live %d samples, replayed %d", v.name, len(lt), len(rt))
+		}
+		for i := range lt {
+			if lt[i] != rt[i] || lv[i] != rv[i] {
+				t.Fatalf("%s sample %d: live (%v,%v) replayed (%v,%v)", v.name, i, lt[i], lv[i], rt[i], rv[i])
 			}
+		}
+	}
+	if live.End() != replayed.End() || live.CSV() != replayed.CSV() {
+		t.Fatalf("replay differs: end %v vs %v, CSV equal %v", live.End(), replayed.End(), live.CSV() == replayed.CSV())
+	}
+}
+
+// TestTimelinesSurviveRingWrap checks that the timelines are independent
+// of the ring: a wrapped ring and a timelines-only recorder keep the
+// same figure data as a full ring.
+func TestTimelinesSurviveRingWrap(t *testing.T) {
+	full := allKindsRun(t, -1)
+	for _, capacity := range []int{0, 94} {
+		ob := allKindsRun(t, capacity)
+		if capacity > 0 && ob.Dropped() == 0 {
+			t.Fatalf("capacity %d: ring did not wrap", capacity)
+		}
+		if ob.CSV() != full.CSV() || ob.Paraver() != full.Paraver() || ob.End() != full.End() {
+			t.Fatalf("capacity %d: timelines differ from the full ring's", capacity)
+		}
+		ft, fv := full.ImbalanceSeries().Samples()
+		gt, gv := ob.ImbalanceSeries().Samples()
+		if len(ft) == 0 || fmt.Sprint(ft, fv) != fmt.Sprint(gt, gv) {
+			t.Fatalf("capacity %d: imbalance series differs (%d vs %d samples)", capacity, len(gt), len(ft))
 		}
 	}
 }
@@ -164,7 +186,7 @@ func TestTraceTapAgreement(t *testing.T) {
 // TestBuildMetricsConsistency checks the replay-derived registry against
 // invariants of the event stream itself.
 func TestBuildMetricsConsistency(t *testing.T) {
-	ob, _ := tinyRun(t)
+	ob := tinyRun(t)
 	m := obs.BuildMetrics(ob)
 	execs := ob.Count(obs.KindExecStart)
 	if execs == 0 {
@@ -246,7 +268,6 @@ func TestNilRecorderAllocs(t *testing.T) {
 		r.Imbalance(1.25)
 		r.RegisterWorker(0, 0, 1)
 		r.BindClock(nil)
-		r.AddTap(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-recorder emit path allocates (%v allocs/run)", allocs)
@@ -258,7 +279,7 @@ func TestNilRecorderAllocs(t *testing.T) {
 // one write buffer, never a string per event (the run has ~28 events
 // per track, so one allocation per event would break the bound).
 func TestWriteChromeAllocs(t *testing.T) {
-	ob, _ := tinyRun(t)
+	ob := tinyRun(t)
 	events := len(ob.Events())
 	tracks := bytes.Count(chromeBytes(t, ob), []byte(`"ph":"M"`))
 	allocs := testing.AllocsPerRun(20, func() {

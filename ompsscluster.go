@@ -36,9 +36,9 @@ import (
 	"ompsscluster/internal/cluster"
 	"ompsscluster/internal/core"
 	"ompsscluster/internal/nanos"
+	"ompsscluster/internal/obs"
 	"ompsscluster/internal/simmpi"
 	"ompsscluster/internal/simtime"
-	"ompsscluster/internal/trace"
 )
 
 // Core runtime types (see internal/core).
@@ -125,8 +125,9 @@ const (
 	AnyTag    = simmpi.AnyTag
 )
 
-// TraceRecorder captures busy/owned timelines (see internal/trace).
-type TraceRecorder = trace.Recorder
+// TraceRecorder captures busy/owned timelines per (node, apprank) and
+// the sampled node imbalance (see internal/obs); pass it as Config.Obs.
+type TraceRecorder = obs.Recorder
 
 // New builds a runtime from the configuration.
 func New(cfg Config) (*ClusterRuntime, error) { return core.New(cfg) }
@@ -148,5 +149,6 @@ func NewMachine(n, coresPerNode int) *Machine {
 	return cluster.New(n, coresPerNode, cluster.DefaultNet())
 }
 
-// NewTraceRecorder returns an empty trace recorder to pass in Config.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
+// NewTraceRecorder returns an empty recorder that keeps the timelines
+// only, to pass as Config.Obs.
+func NewTraceRecorder() *TraceRecorder { return obs.NewRecorder(0) }

@@ -58,8 +58,8 @@ func TestFacadeQuickstart(t *testing.T) {
 func TestFacadeTraceRecorder(t *testing.T) {
 	rec := ompsscluster.NewTraceRecorder()
 	rt := ompsscluster.MustNew(ompsscluster.Config{
-		Machine:  ompsscluster.NewMachine(1, 2),
-		Recorder: rec,
+		Machine: ompsscluster.NewMachine(1, 2),
+		Obs:     rec,
 	})
 	err := rt.Run(func(app *ompsscluster.App) {
 		r := app.Alloc(64)
