@@ -16,8 +16,8 @@
 // bisection over t then replays with its probes predicted from the cut,
 // so the result is bit for bit the plain bisection's. The own-node
 // incentive (offloaded work weighted 1+1e-6, §5.4.2) is a min-cost flow
-// at the optimal t. The tests keep the plain bisection and a simplex
-// formulation (internal/lp) as oracles.
+// at the optimal t. The tests keep the plain bisection and a dense
+// simplex over the same formulation (simplex_test.go) as oracles.
 //
 // Both policies index the problem by slice, in buffers that a policy
 // built by NewLocalPolicy or NewGlobalPolicy keeps between calls, so a

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ompsscluster/internal/flow"
-	"ompsscluster/internal/lp"
 )
 
 // The oracles of the global policy: the solver as it was before probes
@@ -189,7 +188,7 @@ func (v *oracleView) buildFlowGraph(demands []float64, costed bool) (g *flow.Gra
 // feasibleSimplex is the LP cross-validation of feasibleFlow.
 func (v *oracleView) feasibleSimplex(t float64) bool {
 	nw := len(v.p.Workers)
-	prob := lp.NewProblem(nw)
+	prob := newSimplexProblem(nw)
 	// Node capacities: sum of C_w on node <= cores (C here excludes the
 	// floor of 1, so capacity is the residual).
 	caps := v.residualCap()
@@ -198,7 +197,7 @@ func (v *oracleView) feasibleSimplex(t float64) bool {
 		for _, wi := range v.onNode[ni] {
 			coef[wi] = 1
 		}
-		prob.AddConstraint(coef, lp.LE, caps[ni])
+		prob.addConstraint(coef, relLE, caps[ni])
 	}
 	for ai, d := range v.demands(t) {
 		if d <= 0 {
@@ -208,10 +207,10 @@ func (v *oracleView) feasibleSimplex(t float64) bool {
 		for _, wi := range v.workers[ai] {
 			coef[wi] = 1
 		}
-		prob.AddConstraint(coef, lp.GE, d)
+		prob.addConstraint(coef, relGE, d)
 	}
-	sol, err := prob.Solve()
-	return err == nil && sol.Status == lp.Optimal
+	sol, err := prob.solve()
+	return err == nil && sol.Status == simplexOptimal
 }
 
 // minOffloadSimplex solves the allocation at t with the simplex solver,
@@ -219,21 +218,21 @@ func (v *oracleView) feasibleSimplex(t float64) bool {
 // the floor of one).
 func (v *oracleView) minOffloadSimplex(t float64) ([]float64, error) {
 	nw := len(v.p.Workers)
-	prob := lp.NewProblem(nw)
+	prob := newSimplexProblem(nw)
 	obj := make([]float64, nw)
 	for wi, w := range v.p.Workers {
 		if !w.Home {
 			obj[wi] = 1
 		}
 	}
-	prob.SetObjective(obj)
+	prob.setObjective(obj)
 	caps := v.residualCap()
 	for ni := range v.p.Nodes {
 		coef := make([]float64, nw)
 		for _, wi := range v.onNode[ni] {
 			coef[wi] = 1
 		}
-		prob.AddConstraint(coef, lp.LE, caps[ni])
+		prob.addConstraint(coef, relLE, caps[ni])
 	}
 	for ai, d := range v.demands(t) {
 		if d <= 0 {
@@ -243,9 +242,9 @@ func (v *oracleView) minOffloadSimplex(t float64) ([]float64, error) {
 		for _, wi := range v.workers[ai] {
 			coef[wi] = 1
 		}
-		prob.AddConstraint(coef, lp.GE, d)
+		prob.addConstraint(coef, relGE, d)
 	}
-	sol, err := prob.Solve()
+	sol, err := prob.solve()
 	if err != nil {
 		return nil, err
 	}

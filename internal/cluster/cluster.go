@@ -2,9 +2,10 @@
 // each with a number of cores and a relative speed factor, connected by an
 // interconnect with a latency + bandwidth cost model.
 //
-// Two presets mirror the paper's platforms: MareNostrum 4 (48 cores/node,
-// 100 Gb/s Omni-Path) and Nord3 (16 cores/node, nodes at 3.0 GHz or a
-// "slow" 1.8 GHz).
+// The paper's platforms: MareNostrum 4 (48 cores/node, 100 Gb/s
+// Omni-Path) is New(n, 48, DefaultNet()), the machine the experiments
+// build from their scale's cores per node; Nord3 (16 cores/node, nodes at
+// 3.0 GHz or a "slow" 1.8 GHz) has a preset.
 package cluster
 
 import (
@@ -169,10 +170,6 @@ func DefaultNet() NetModel {
 		LocalLatency:   200 * simtime.Nanosecond,
 	}
 }
-
-// MareNostrum4 returns an n-node machine with 48 cores per node, modelling
-// the general-purpose block of MareNostrum 4.
-func MareNostrum4(n int) *Machine { return New(n, 48, DefaultNet()) }
 
 // Nord3 returns an n-node machine with 16 cores per node. If slowNodes is
 // non-empty, those nodes run at 1.8/3.0 = 0.6 relative speed, mirroring

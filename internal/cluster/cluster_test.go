@@ -93,10 +93,6 @@ func TestTransferTimeInfiniteBandwidth(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	mn4 := MareNostrum4(32)
-	if mn4.NumNodes() != 32 || mn4.Node(0).Cores != 48 {
-		t.Fatal("MareNostrum4 preset wrong")
-	}
 	n3 := Nord3(16, 0)
 	if n3.Node(0).Cores != 16 {
 		t.Fatal("Nord3 cores wrong")

@@ -91,17 +91,16 @@ func TestCrashAbortsWithTypedError(t *testing.T) {
 	}
 }
 
-// TestCrashWithParkedCProc: continuation procs parked mid-wait must not
-// change the crash-abort surface, and killing them afterwards must not
-// leak synchronization state. A monitor CProc parks in PopThen on a queue
-// that never fills and a second one in WaitThen on an event that never
-// fires while a crash plan aborts the job; the run still returns the
-// typed AbortError, the parked CProcs survive (they belong to the
-// harness, not the dead application), and Kill reclaims them with Done
-// triggered and the queue still usable.
-func TestCrashWithParkedCProc(t *testing.T) {
+// TestCrashWithParkedProc: harness procs parked mid-wait must not change
+// the crash-abort surface, and killing them afterwards must not leak
+// state. One monitor waits on an event that never fires and a second one
+// is in a bare Park while a crash plan aborts the job; the run still
+// returns the typed AbortError, the parked monitors survive (they belong
+// to the harness, not the dead application), and Kill reclaims them with
+// Done triggered.
+func TestCrashWithParkedProc(t *testing.T) {
 	plan := &faults.Plan{
-		Name:   "crash-with-cproc",
+		Name:   "crash-with-parked-proc",
 		Events: []faults.Event{{Kind: faults.Crash, At: 20 * simtime.Duration(ms), Node: 3}},
 	}
 	rt, err := New(faultCfg(plan))
@@ -109,21 +108,14 @@ func TestCrashWithParkedCProc(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := rt.Env()
-	q := env.NewQueue()
 	ev := env.NewEvent()
-	popper := env.SpawnC("monitor-pop", func(cp *simtime.CProc) {
-		cp.SetBlockReason("monitor-pop", 0, 0)
-		q.PopThen(cp, func(v any) {
-			t.Errorf("monitor woke with %v; queue never filled", v)
-			cp.End()
-		})
+	waiter := env.Spawn("monitor-wait", func(p *simtime.Proc) {
+		p.SetBlockReason("monitor-wait", 0, 0)
+		t.Errorf("waiter woke with %v; event never fired", p.Wait(ev))
 	})
-	waiter := env.SpawnC("monitor-wait", func(cp *simtime.CProc) {
-		cp.SetBlockReason("monitor-wait", 0, 0)
-		cp.WaitThen(ev, func(v any) {
-			t.Errorf("waiter woke with %v; event never fired", v)
-			cp.End()
-		})
+	parker := env.Spawn("monitor-park", func(p *simtime.Proc) {
+		p.SetBlockReason("monitor-park", 0, 0)
+		t.Errorf("parker woke with %v; nothing wakes it", p.Park())
 	})
 	err = rt.Run(faultMain)
 	var abort *AbortError
@@ -138,24 +130,19 @@ func TestCrashWithParkedCProc(t *testing.T) {
 	if live := env.LiveProcs(); len(live) != 2 {
 		t.Fatalf("live procs after abort = %v, want the two monitors", live)
 	}
-	popDone, waitDone := false, false
-	popper.Done().Subscribe(func(any) { popDone = true })
+	waitDone, parkDone := false, false
 	waiter.Done().Subscribe(func(any) { waitDone = true })
-	popper.Kill()
+	parker.Done().Subscribe(func(any) { parkDone = true })
 	waiter.Kill()
+	parker.Kill()
 	if err := env.Run(); err != nil { // drain the Done subscription callbacks
 		t.Fatal(err)
 	}
-	if !popDone || !waitDone {
-		t.Fatalf("Done after Kill: pop=%v wait=%v, want both", popDone, waitDone)
+	if !waitDone || !parkDone {
+		t.Fatalf("Done after Kill: wait=%v park=%v, want both", waitDone, parkDone)
 	}
 	if live := env.LiveProcs(); len(live) != 0 {
 		t.Fatalf("live procs after Kill: %v", live)
-	}
-	// The dead waiter must not swallow a later item or break the queue.
-	q.Push("later")
-	if q.Len() != 1 {
-		t.Fatalf("queue len after post-kill Push = %d, want 1", q.Len())
 	}
 	for _, ns := range rt.nodes {
 		if err := ns.arb.CheckInvariants(); err != nil {

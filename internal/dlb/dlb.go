@@ -403,17 +403,6 @@ func (a *NodeArbiter) PeekBusyAverage(w WorkerID, now simtime.Time) float64 {
 	return (ws.busyIntegral - ws.markIntegral) / float64(dt)
 }
 
-// NodeBusyAverage returns the node-wide average busy cores since each
-// worker's current window start (the windows are aligned when one policy
-// ticks them together).
-func (a *NodeArbiter) NodeBusyAverage(now simtime.Time) float64 {
-	total := 0.0
-	for i := range a.workers {
-		total += a.PeekBusyAverage(WorkerID(i), now)
-	}
-	return total
-}
-
 // CheckInvariants validates internal consistency; tests call it after
 // event storms.
 func (a *NodeArbiter) CheckInvariants() error {

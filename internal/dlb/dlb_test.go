@@ -199,7 +199,10 @@ func TestNodeBusyAverage(t *testing.T) {
 	a.Start(ids[0], 0)
 	a.Start(ids[1], 0)
 	a.Start(ids[1], 0)
-	got := a.NodeBusyAverage(2 * sec)
+	got := 0.0
+	for _, id := range ids {
+		got += a.PeekBusyAverage(id, 2*sec)
+	}
 	if math.Abs(got-3.0) > 1e-9 {
 		t.Fatalf("node busy average = %v, want 3.0", got)
 	}
@@ -210,9 +213,9 @@ func TestTALPReport(t *testing.T) {
 	sec := float64(simtime.Second)
 	talp.StartApp(0, 0)
 	talp.StartApp(1, 0)
-	talp.AddUseful(0, 8*sec) // 8 core-seconds useful
-	talp.AddMPI(0, 1*sec)
-	talp.AddUseful(1, 2*sec)
+	talp.AddExec(talp.Ref(0, 0), 0, simtime.Time(8*simtime.Second), 8*sec, 0, false) // 8 core-seconds useful
+	talp.AddMPISpan(0, 0, simtime.Time(simtime.Second))
+	talp.AddExec(talp.Ref(1, 0), 0, simtime.Time(2*simtime.Second), 2*sec, 0, false)
 	rep := talp.Snapshot(simtime.Time(4*simtime.Second), map[int]float64{0: 4, 1: 4})
 	if len(rep.Appranks) != 2 {
 		t.Fatalf("report has %d appranks", len(rep.Appranks))
@@ -220,6 +223,9 @@ func TestTALPReport(t *testing.T) {
 	// Apprank 0: 8 core-s useful over 4s x 4 cores = 50%.
 	if math.Abs(rep.Appranks[0].Efficiency-0.5) > 1e-9 {
 		t.Fatalf("efficiency = %v, want 0.5", rep.Appranks[0].Efficiency)
+	}
+	if rep.Appranks[0].MPITime != simtime.Second {
+		t.Fatalf("MPI time = %v, want 1s", rep.Appranks[0].MPITime)
 	}
 	if math.Abs(rep.Appranks[1].Efficiency-0.125) > 1e-9 {
 		t.Fatalf("efficiency = %v, want 0.125", rep.Appranks[1].Efficiency)

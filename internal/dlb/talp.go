@@ -163,18 +163,6 @@ func growWins(wins []float64, i int) []float64 {
 	return wins
 }
 
-// AddUseful accumulates core-nanoseconds of task execution for apprank
-// into its first cell. Legacy entry point; the runtime reports through
-// AddExec.
-func (t *TALP) AddUseful(apprank int, coreNanos float64) {
-	t.app(apprank).cells[0].useful += coreNanos
-}
-
-// AddMPI accumulates nanoseconds spent in MPI calls by apprank's main.
-func (t *TALP) AddMPI(apprank int, nanos float64) {
-	t.app(apprank).mpi += nanos
-}
-
 // AddMPISpan accounts one blocking MPI operation of apprank's main
 // process over [t0, t1).
 func (t *TALP) AddMPISpan(apprank int, t0, t1 simtime.Time) {

@@ -242,28 +242,3 @@ func (g *Graph) MinCostMaxFlow(s, t int) (flowVal, cost float64) {
 		flowVal += f
 	}
 }
-
-// CheckConservation verifies flow conservation at every node except s and
-// t, and capacity constraints on every edge. It returns a descriptive
-// error on the first violation. Intended for tests and invariant checks.
-func (g *Graph) CheckConservation(s, t int) error {
-	net := make([]float64, g.n)
-	for id := 0; id < len(g.edges); id += 2 {
-		e := g.edges[id]
-		if e.flow < -eps || e.flow > e.cap+eps {
-			return fmt.Errorf("flow: edge %d flow %v outside [0, %v]", id, e.flow, e.cap)
-		}
-		from := g.edges[id^1].to
-		net[from] -= e.flow
-		net[e.to] += e.flow
-	}
-	for v := 0; v < g.n; v++ {
-		if v == s || v == t {
-			continue
-		}
-		if math.Abs(net[v]) > 1e-6 {
-			return fmt.Errorf("flow: conservation violated at node %d (net %v)", v, net[v])
-		}
-	}
-	return nil
-}

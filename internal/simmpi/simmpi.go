@@ -1,8 +1,8 @@
 // Package simmpi is an MPI-like message-passing library running inside the
 // simtime discrete-event engine. It provides a World of ranks placed on the
 // nodes of a cluster.Machine, point-to-point messages with tag matching and
-// wildcard receives, and the usual collectives (Barrier, Bcast, Reduce,
-// Allreduce, Gather, Allgather).
+// wildcard receives, the usual collectives (Barrier, Bcast, Reduce,
+// Allreduce, Gather, Allgather) and communicator Split.
 //
 // Rank programs run as simtime processes and use blocking operations
 // through their *Comm handle, in the style of MPI. Event-driven code (the
@@ -93,9 +93,8 @@ func (q *msgq) pop() *message {
 	return m
 }
 
-// mailbox holds the per-rank unexpected-message queues, posted receives
-// (blocking and nonblocking), probes, and an optional event-driven
-// handler.
+// mailbox holds the per-rank unexpected-message queues, posted blocking
+// receives, and an optional event-driven handler.
 //
 // Unexpected messages are bucketed by (src, tag), so the wildcard-free
 // matching the workloads do almost exclusively is one map lookup instead
@@ -110,8 +109,6 @@ type mailbox struct {
 	narrived int    // queued messages across all buckets
 	arrSeq   uint64 // next arrival stamp
 	recvs    []*pendingRecv
-	irecvs   []*pendingIrecv
-	probes   []*pendingRecv
 	handler  func(src, tag int, data any, size int64)
 }
 
@@ -132,49 +129,42 @@ func (mb *mailbox) enqueue(msg *message) {
 	mb.narrived++
 }
 
-// findArrived returns the earliest-arrived queued message matching
-// (src, tag) and its bucket, or nil if none is queued. src and tag may be
+// takeArrived removes and returns the earliest-arrived queued message
+// matching (src, tag), or nil if none is queued. src and tag may be
 // wildcards.
-func (mb *mailbox) findArrived(src, tag int) (*msgq, *message) {
+func (mb *mailbox) takeArrived(src, tag int) *message {
 	if mb.narrived == 0 {
-		return nil, nil
+		return nil
 	}
-	if src != AnySource && tag != AnyTag {
-		if q := mb.arrived[mbKey{src, tag}]; q != nil && q.len() > 0 {
-			return q, q.peek()
-		}
-		return nil, nil
-	}
-	// Wildcard fallback: earliest arrival among matching bucket heads.
-	// Arrival stamps are unique, so the winner is deterministic even
-	// though map iteration order is not.
 	var (
 		bq   *msgq
 		best *message
 	)
-	for k, q := range mb.arrived {
-		if q.len() == 0 {
-			continue
+	if src != AnySource && tag != AnyTag {
+		if q := mb.arrived[mbKey{src, tag}]; q != nil && q.len() > 0 {
+			bq, best = q, q.peek()
 		}
-		if (src == AnySource || src == k.src) && (tag == AnyTag || tag == k.tag) {
-			if m := q.peek(); best == nil || m.arr < best.arr {
-				bq, best = q, m
+	} else {
+		// Wildcard fallback: earliest arrival among matching bucket
+		// heads. Arrival stamps are unique, so the winner is
+		// deterministic even though map iteration order is not.
+		for k, q := range mb.arrived {
+			if q.len() == 0 {
+				continue
+			}
+			if (src == AnySource || src == k.src) && (tag == AnyTag || tag == k.tag) {
+				if m := q.peek(); best == nil || m.arr < best.arr {
+					bq, best = q, m
+				}
 			}
 		}
 	}
-	return bq, best
-}
-
-// takeArrived removes and returns the earliest queued message matching
-// (src, tag), or nil.
-func (mb *mailbox) takeArrived(src, tag int) *message {
-	q, m := mb.findArrived(src, tag)
-	if m == nil {
+	if best == nil {
 		return nil
 	}
-	q.pop()
+	bq.pop()
 	mb.narrived--
-	return m
+	return best
 }
 
 // World is a set of ranks placed on machine nodes.
@@ -350,9 +340,9 @@ func (w *World) send(msg *message, dst, attempt int) {
 	w.env.Schedule(d+extra, func() { w.deliver(dst, msg) })
 }
 
-// deliver places a message in dst's mailbox, completing a matching posted
-// receive (blocking first, then nonblocking), waking matching probes, or
-// invoking the rank's handler.
+// deliver places a message in dst's mailbox: it invokes the rank's
+// handler, else completes the earliest matching posted receive, else
+// queues the message as unexpected.
 func (w *World) deliver(dst int, msg *message) {
 	mb := w.mail[dst]
 	if w.obs != nil {
@@ -364,29 +354,11 @@ func (w *World) deliver(dst int, msg *message) {
 		mb.handler(msg.src, msg.tag, msg.data, msg.size)
 		return
 	}
-	// Probes observe the message without consuming it.
-	remaining := mb.probes[:0]
-	for _, pr := range mb.probes {
-		if matches(pr.src, pr.tag, msg) {
-			w.env.WakeProc(pr.proc, msg)
-		} else {
-			remaining = append(remaining, pr)
-		}
-	}
-	mb.probes = remaining
 	for i, pr := range mb.recvs {
 		if matches(pr.src, pr.tag, msg) {
 			mb.recvs = append(mb.recvs[:i], mb.recvs[i+1:]...)
 			w.obsMatch(dst, msg)
 			w.env.WakeProc(pr.proc, msg)
-			return
-		}
-	}
-	for i, ir := range mb.irecvs {
-		if matches(ir.src, ir.tag, msg) {
-			mb.irecvs = append(mb.irecvs[:i], mb.irecvs[i+1:]...)
-			w.obsMatch(dst, msg)
-			ir.req.complete(ir.comm, msg)
 			return
 		}
 	}

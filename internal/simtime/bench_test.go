@@ -93,58 +93,6 @@ func BenchmarkProcParkWake(b *testing.B) {
 	}
 }
 
-// BenchmarkCProcParkWake measures the continuation-proc equivalent: a
-// ParkThen/wake cycle that stays on the event-loop goroutine with zero
-// channel handoffs. Also pinned to 0 allocs/op by the CI perf smoke.
-func BenchmarkCProcParkWake(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEnv()
-	var cp *CProc
-	n := 0
-	var park func(any)
-	park = func(any) {
-		if n < b.N {
-			cp.ParkThen(park)
-			return
-		}
-		cp.End()
-	}
-	cp = e.SpawnC("parker", func(cp *CProc) { cp.ParkThen(park) })
-	e.Spawn("waker", func(w *Proc) {
-		for ; n < b.N; n++ {
-			e.WakeCProc(cp, nil)
-			w.Sleep(1)
-		}
-		e.WakeCProc(cp, nil) // release the final park so End runs
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkQueuePingPong measures two processes exchanging items.
-func BenchmarkQueuePingPong(b *testing.B) {
-	e := NewEnv()
-	q1, q2 := e.NewQueue(), e.NewQueue()
-	e.Spawn("a", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q1.Push(i)
-			q2.Pop(p)
-		}
-	})
-	e.Spawn("b", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q1.Pop(p)
-			q2.Push(i)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkHeapHold is the classic hold model for the future-event heap:
 // 1500 pending timers (the heap size the Figure 8 sweep holds at 64
 // nodes), each firing and rescheduling itself a pseudo-random delay

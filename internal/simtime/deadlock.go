@@ -53,7 +53,7 @@ func (e *Env) Deadlock() *DeadlockError {
 	}
 	d := &DeadlockError{Now: e.now, Blocked: make([]BlockedProc, len(live))}
 	for i, p := range live {
-		d.Blocked[i] = p.blocked()
+		d.Blocked[i] = BlockedProc{Name: p.name, What: p.blockWhat, A: p.blockA, B: p.blockB}
 	}
 	return d
 }

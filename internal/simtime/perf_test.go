@@ -67,30 +67,6 @@ func TestProcParkWakeAllocs(t *testing.T) {
 	}
 }
 
-// The continuation-proc equivalent: re-registering a pre-allocated
-// continuation and waking it stays on the event loop and allocates
-// nothing.
-func TestCProcParkWakeAllocs(t *testing.T) {
-	e := NewEnv()
-	var cp *CProc
-	var park func(any)
-	park = func(any) { cp.ParkThen(park) }
-	cp = e.SpawnC("parker", func(cp *CProc) { cp.ParkThen(park) })
-	defer e.KillAll()
-	round := func() {
-		e.WakeCProc(cp, nil)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		round()
-	}
-	if allocs := testing.AllocsPerRun(100, round); allocs > 0 {
-		t.Errorf("allocs per park/wake round = %.2f, want 0", allocs)
-	}
-}
-
 // Events popped from the heap at time T must still precede same-time ring
 // entries scheduled later: FIFO order among equal-time events is by
 // scheduling sequence, regardless of which structure holds them. Here A

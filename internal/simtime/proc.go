@@ -2,27 +2,6 @@ package simtime
 
 import "fmt"
 
-// process is the engine's common view of its two process flavors: the
-// goroutine-backed Proc and the continuation-based CProc. LiveProcs,
-// Deadlock, KillAll, Event and Queue treat the two identically, so
-// converting a process between styles never changes wake ordering,
-// teardown order, or diagnostic dumps.
-type process interface {
-	// pid is the spawn id (a sequence number), giving the deterministic
-	// spawn order used by LiveProcs, Deadlock and KillAll.
-	pid() uint64
-	// blocked describes the process for the deadlock dump.
-	blocked() BlockedProc
-	// wake schedules the process to resume at the current virtual time
-	// with v as the value of its pending park. Wakes go through Env.At,
-	// so they are ordered by the same (time, seq) key as every other
-	// event. At most one wake may be pending per process.
-	wake(v any)
-	// isKilled reports whether the process was forcibly terminated.
-	isKilled() bool
-	kill()
-}
-
 // Proc is a simulation process: a goroutine that blocks in virtual time.
 // Exactly one process executes at a time; the engine resumes a process and
 // waits for it to park (block) or finish before executing the next event.
@@ -130,9 +109,9 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Done() *Event { return p.done }
 
 // Park blocks the process until another event wakes it with Env.WakeProc
-// (or an Event/Queue built on top of it). It returns the value passed to
-// the wake. Park is a low-level primitive for building synchronization
-// structures; most code should use Sleep, Wait, or Queue.
+// (or an Event trigger). It returns the value passed to the wake. Park is
+// a low-level primitive for building synchronization structures; most
+// code should use Sleep or Wait.
 func (p *Proc) Park() any {
 	p.env.npark++
 	p.parked = true
@@ -147,11 +126,17 @@ func (p *Proc) Park() any {
 }
 
 // WakeProc schedules p to resume at the current virtual time, with v as the
-// return value of its pending Park. The caller must guarantee that p is
-// parked (or will be parked before this wake event executes); waking a
-// running process deadlocks the engine. The wake reuses the proc's
-// pre-bound resume closure, so it performs no allocation.
-func (e *Env) WakeProc(p *Proc, v any) { p.wake(v) }
+// return value of its pending Park. The wake goes through Env.At, so it is
+// ordered by the same (time, seq) key as every other event. The caller
+// must guarantee that p is parked (or will be parked before this wake
+// event executes); waking a running process deadlocks the engine. The
+// wake reuses the proc's pre-bound resume closure, so it performs no
+// allocation.
+func (e *Env) WakeProc(p *Proc, v any) {
+	p.wakeVal = v
+	e.nwake++
+	e.At(e.now, p.wakeFn)
+}
 
 // Sleep blocks the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
@@ -172,16 +157,11 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 // Kill forcibly terminates the process (a fault-injection primitive:
-// the node running it died). The caller must know the process has not
-// finished; killing a finished process is a harmless no-op. Like
-// KillAll, it must be invoked from an event callback, never from
-// another process.
-func (p *Proc) Kill() { p.kill() }
-
-// kill forcibly terminates the process. If it is parked, its goroutine is
-// unblocked and unwound. If it has not started yet, its start event is
-// suppressed.
-func (p *Proc) kill() {
+// the node running it died). If it is parked, its goroutine is unblocked
+// and unwound; if it has not started yet, its start event is suppressed.
+// Killing a finished process is a harmless no-op. Like KillAll, it must
+// be invoked from an event callback, never from another process.
+func (p *Proc) Kill() {
 	if p.killed {
 		return
 	}
@@ -194,21 +174,6 @@ func (p *Proc) kill() {
 	delete(p.env.procs, p)
 }
 
-// process interface implementation.
-func (p *Proc) pid() uint64 { return p.id }
-
-func (p *Proc) blocked() BlockedProc {
-	return BlockedProc{Name: p.name, What: p.blockWhat, A: p.blockA, B: p.blockB}
-}
-
-func (p *Proc) isKilled() bool { return p.killed }
-
-func (p *Proc) wake(v any) {
-	p.wakeVal = v
-	p.env.nwake++
-	p.env.At(p.env.now, p.wakeFn)
-}
-
 // Event is a one-shot occurrence that processes can wait on and callbacks
 // can subscribe to. An event carries an arbitrary value set at trigger
 // time. Triggering twice panics.
@@ -216,7 +181,7 @@ type Event struct {
 	env       *Env
 	triggered bool
 	val       any
-	waiters   []process
+	waiters   []*Proc
 	callbacks []func(any)
 }
 
@@ -239,7 +204,7 @@ func (ev *Event) Trigger(v any) {
 	ev.triggered = true
 	ev.val = v
 	for _, w := range ev.waiters {
-		w.wake(v)
+		ev.env.WakeProc(w, v)
 	}
 	ev.waiters = nil
 	for _, cb := range ev.callbacks {
@@ -275,55 +240,4 @@ func (p *Proc) WaitAll(evs ...*Event) {
 	for _, ev := range evs {
 		p.Wait(ev)
 	}
-}
-
-// Queue is an unbounded FIFO mailbox connecting event callbacks and
-// processes. Push never blocks; Pop blocks the calling process until an
-// item is available. Waiting processes are served in FIFO order.
-type Queue struct {
-	env     *Env
-	items   []any
-	waiters []process
-}
-
-// NewQueue returns an empty queue.
-func (e *Env) NewQueue() *Queue { return &Queue{env: e} }
-
-// Len returns the number of buffered items.
-func (q *Queue) Len() int { return len(q.items) }
-
-// Push appends v, waking the longest-waiting live process if any. Waiters
-// killed mid-wait (fault injection) are skipped and dropped, so a kill
-// never leaks a stale queue entry or swallows an item.
-func (q *Queue) Push(v any) {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.isKilled() {
-			continue
-		}
-		w.wake(v)
-		return
-	}
-	q.items = append(q.items, v)
-}
-
-// TryPop removes and returns the head item without blocking.
-func (q *Queue) TryPop() (any, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Pop removes and returns the head item, blocking the process until one is
-// available.
-func (q *Queue) Pop(p *Proc) any {
-	if v, ok := q.TryPop(); ok {
-		return v
-	}
-	q.waiters = append(q.waiters, p)
-	return p.Park()
 }

@@ -1,26 +1,18 @@
 // Package simtime implements a deterministic discrete-event simulation
 // engine with virtual time.
 //
-// The engine provides three complementary execution styles:
+// The engine provides two complementary execution styles:
 //
 //   - Callback events: functions scheduled at a virtual time with
 //     Env.Schedule or Env.At. These are the building block for event-driven
 //     state machines such as the task runtime.
 //
 //   - Goroutine processes: goroutines created with Env.Spawn that block in
-//     virtual time (Proc.Sleep, Proc.Wait, Queue.Pop). Exactly one process
+//     virtual time (Proc.Sleep, Proc.Wait, Proc.Park). Exactly one process
 //     runs at any moment; the engine and the running process hand control
 //     back and forth over channels, so no locking is needed on simulation
 //     state. Processes make it natural to write SPMD rank programs that
 //     call blocking message-passing operations.
-//
-//   - Continuation processes: CProcs created with Env.SpawnC that block by
-//     registering a continuation (SleepThen, WaitThen, PopThen, ParkThen)
-//     and run entirely on the event-loop goroutine, with zero channel
-//     handoffs per park/wake. CProcs share the synchronization structures,
-//     wake ordering, deadlock diagnostics and teardown order with Procs;
-//     they are the cheap flavor for runtime-internal state machines, while
-//     goroutine procs keep workload code imperative.
 //
 // Determinism: events are ordered by (time, insertion sequence), so two
 // runs of the same program observe identical interleavings.
@@ -114,14 +106,14 @@ type Env struct {
 	batch []item
 
 	yield chan struct{}
-	procs map[process]struct{}
+	procs map[*Proc]struct{}
 	fail  error
 
 	nstep uint64 // events executed
 	nfast uint64 // events executed through the now queue
 	npush uint64 // events that went through the heap
 
-	npark    uint64 // process blocks (Park/Sleep and the *Then primitives)
+	npark    uint64 // process blocks (Park, Sleep)
 	nwake    uint64 // scheduled process resumptions
 	ngoro    int    // goroutine-backed processes currently running
 	peakGoro int    // high-water mark of ngoro
@@ -131,7 +123,7 @@ type Env struct {
 func NewEnv() *Env {
 	return &Env{
 		yield: make(chan struct{}),
-		procs: make(map[process]struct{}),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -360,18 +352,18 @@ func (e *Env) LiveProcs() []string {
 	live := e.liveByID()
 	names := make([]string, len(live))
 	for i, p := range live {
-		names[i] = p.blocked().Name
+		names[i] = p.name
 	}
 	return names
 }
 
-// liveByID returns the live processes (both flavors) sorted by spawn id.
-func (e *Env) liveByID() []process {
-	live := make([]process, 0, len(e.procs))
+// liveByID returns the live processes sorted by spawn id.
+func (e *Env) liveByID() []*Proc {
+	live := make([]*Proc, 0, len(e.procs))
 	for p := range e.procs {
 		live = append(live, p)
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].pid() < live[j].pid() })
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 	return live
 }
 
@@ -387,7 +379,7 @@ func (e *Env) KillAll() {
 			// A kill can run deferred cleanup that retires other
 			// processes; skip the ones already gone.
 			if _, ok := e.procs[p]; ok {
-				p.kill()
+				p.Kill()
 			}
 		}
 	}

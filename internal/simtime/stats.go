@@ -16,16 +16,14 @@ type EngineStats struct {
 	FastPath uint64
 	// HeapPushes counts events that went through the future-event heap.
 	HeapPushes uint64
-	// Parks counts process blocks: Proc.Park/Sleep and the continuation
-	// primitives ParkThen/SleepThen/WaitThen/PopThen.
+	// Parks counts process blocks: Proc.Park, Wait on an untriggered
+	// event, and Sleep.
 	Parks uint64
-	// Wakes counts scheduled process resumptions (WakeProc/WakeCProc,
-	// Event triggers reaching waiters, Queue pushes, sleep timers).
+	// Wakes counts scheduled process resumptions (WakeProc, Event
+	// triggers reaching waiters, sleep timers).
 	Wakes uint64
-	// PeakGoroutines is the maximum number of goroutine-backed processes
-	// live at once. Continuation processes never appear here — they run
-	// on the event-loop goroutine — so this gauge measures the Go
-	// scheduler pressure a run exerts.
+	// PeakGoroutines is the maximum number of process goroutines running
+	// at once, a gauge of the Go scheduler pressure a run exerts.
 	PeakGoroutines uint64
 }
 

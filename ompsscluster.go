@@ -30,6 +30,9 @@
 //		})
 //		app.TaskWait()
 //	})
+//
+// A rank main talks MPI through App.Comm, whose Comm offers Send, Recv,
+// Barrier, Bcast, Reduce, Allreduce, Gather, Allgather and Split.
 package ompsscluster
 
 import (
